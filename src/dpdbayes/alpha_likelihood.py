@@ -125,12 +125,6 @@ def alpha_likelihood_batch(
     return model.summed_q_value_batch(data.responses, thetas, alpha)
 
 
-def _functional_log_power_terms(model, spec, theta, alpha):
-    if isinstance(spec, (InModel, Contaminated)):
-        return model.log_power_expectation_terms(theta, alpha, spec.theta_g)
-    raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
-
-
 def alpha_likelihood_functional(
     model: ModelFamily, spec, theta, alpha: float
 ) -> float:

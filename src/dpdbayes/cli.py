@@ -8,7 +8,11 @@ canonical configuration digest, so runs are fully reproducible: identical
 configuration and seed give byte-identical outputs.  Seeds are mandatory for
 stochastic subcommands; there is no wall-clock fallback.
 
-Exit codes: 0 success, 1 input/parse errors, 2 non-convergence.
+Exit codes: 0 success; 1 input errors (unreadable or malformed data, bad
+configuration, data the model rejects); 2 numerical failures (singular or
+indefinite curvature, collapsed importance weights, non-convergence) and a
+failed ``are-table --check``.  A library error is printed as one line,
+``error: ...``, not as a traceback.
 
 Subcommands
 -----------
@@ -39,7 +43,6 @@ import numpy as np
 from . import diagnostics, laplace, mdpde, posterior, robustness
 from .alpha_likelihood import InModel
 from .models import (
-    DataFormatError,
     Dataset,
     LinearKnownSigma,
     LinearUnknownSigma,
@@ -517,13 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "fit": (_cmd_fit, True),
-    "sample": (_cmd_sample, True),
-    "erpe": (_cmd_sample, True),
-    "are-table": (_cmd_are_table, False),
-    "influence": (_cmd_influence, False),
-    "breakdown": (_cmd_breakdown, False),
-    "bvm": (_cmd_bvm, False),
+    "fit": _cmd_fit,
+    "sample": _cmd_sample,
+    "erpe": _cmd_sample,
+    "are-table": _cmd_are_table,
+    "influence": _cmd_influence,
+    "breakdown": _cmd_breakdown,
+    "bvm": _cmd_bvm,
 }
 
 
@@ -543,12 +546,15 @@ def main(argv=None) -> int:
         config.put("model", "sigma", args.sigma)
         if args.header:
             config.put("model", "header", "true")
-        handler, _ = _COMMANDS[args.command]
-        return handler(args, config)
-    except (CliError, DataFormatError, FileNotFoundError) as exc:
+        return _COMMANDS[args.command](args, config)
+    except (CliError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except posterior.DegenerateWeightsError as exc:
+    except (
+        posterior.DegenerateWeightsError,
+        mdpde.SingularHessianError,
+        laplace.IndefiniteCurvatureError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import mdpde
-from .models import Dataset, LinearUnknownSigma, ModelFamily
+from .models import Dataset, ModelFamily
 from .posterior import GaussianPrior, PosteriorChain, importance_expectation
 
 __all__ = [
@@ -271,20 +271,17 @@ def posterior_mean_replications(
     beta_err = est[:, :p_beta] - theta_g[None, :p_beta]
     scaled = beta_err @ gram_half.T
     beta_cov = np.cov(scaled, rowvar=False).reshape(p_beta, p_beta)
-    sigma_known = getattr(model, "sigma", None)
-    if isinstance(model, LinearUnknownSigma):
-        sigma_g = float(theta_g[-1])
-        sig_err = math.sqrt(n) * (est[:, -1] - sigma_g)
+    sigma_g = model.scale(theta_g)
+    k = model.scale_index
+    if k is not None:
+        sig_err = math.sqrt(n) * (est[:, k] - sigma_g)
         scaled_sigma_var = float(np.var(sig_err, ddof=1))
         upsilon_sigma = sigma_g**2 * _upsilon_sigma(alpha)
     else:
         scaled_sigma_var = None
         upsilon_sigma = None
-    sigma_for_beta = sigma_known if sigma_known is not None else float(theta_g[-1])
-    upsilon_beta = sigma_for_beta**2 * _upsilon_beta(alpha)
-    ad_stats = tuple(
-        float(stats.anderson(est[:, j]).statistic) for j in range(est.shape[1])
-    )
+    upsilon_beta = sigma_g**2 * _upsilon_beta(alpha)
+    ad_stats = tuple(_anderson_darling_normal(est[:, j]) for j in range(est.shape[1]))
     return ReplicationReport(
         estimates=est,
         scaled_beta_cov=beta_cov,
@@ -296,6 +293,19 @@ def posterior_mean_replications(
         alpha=alpha,
         n=n,
     )
+
+
+def _anderson_darling_normal(x: np.ndarray) -> float:
+    """Anderson-Darling statistic against a normal with fitted mean and sd.
+
+    A^2 = -N - sum_i (2i-1)/N [log Phi(w_(i)) + log(1 - Phi(w_(N+1-i)))]
+    over the sorted standardized sample w (sd with ddof = 1), as in
+    ``scipy.stats.anderson(x).statistic``.
+    """
+    w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+    n = w.size
+    weights = (2.0 * np.arange(1, n + 1) - 1.0) / n
+    return float(-n - np.sum(weights * (special.log_ndtr(w) + special.log_ndtr(-w)[::-1])))
 
 
 def _matrix_sqrt(matrix: np.ndarray) -> np.ndarray:

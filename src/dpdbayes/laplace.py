@@ -29,7 +29,7 @@ from scipy.stats import qmc
 
 from . import mdpde
 from .alpha_likelihood import alpha_likelihood, alpha_likelihood_batch
-from .models import Dataset, ModelFamily, LinearUnknownSigma
+from .models import Dataset, ModelFamily
 
 __all__ = [
     "LaplaceApproximation",
@@ -184,8 +184,9 @@ def check_expansion_conditions(
     sampler = qmc.Halton(d=dim, scramble=False)
     unit = sampler.random(n_grid)
     points = theta_hat[None, :] + (2.0 * unit - 1.0) * region_halfwidth
-    if isinstance(model, LinearUnknownSigma):
-        points[:, -1] = np.abs(points[:, -1]) + 1e-6
+    k = model.scale_index
+    if k is not None:
+        points[:, k] = np.abs(points[:, k]) + 1e-6
     q_mode = state.value
     values = (alpha_likelihood_batch(model, data, points, alpha) - q_mode) / model.n
     dist = np.linalg.norm(points - theta_hat[None, :], axis=1)

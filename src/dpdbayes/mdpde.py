@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood
-from .models import Dataset, ModelFamily, LinearKnownSigma, LinearUnknownSigma
+from .models import Dataset, ModelFamily
 
 __all__ = [
     "MdpdeResult",
@@ -61,17 +61,6 @@ class SandwichMatrices:
     at_theta: np.ndarray
 
 
-def _default_init(model: ModelFamily, data: Dataset) -> np.ndarray:
-    if isinstance(model, (LinearKnownSigma, LinearUnknownSigma)):
-        beta, *_ = np.linalg.lstsq(model.design, data.responses, rcond=None)
-        if isinstance(model, LinearKnownSigma):
-            return beta
-        resid = data.responses - model.design @ beta
-        scale = float(np.sqrt(np.mean(resid**2)))
-        return np.append(beta, max(scale, 1e-3))
-    return np.zeros(model.dim)
-
-
 def _is_pd(matrix: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(matrix)
@@ -82,12 +71,10 @@ def _is_pd(matrix: np.ndarray) -> bool:
 
 def _max_feasible_step(model: ModelFamily, theta: np.ndarray, direction: np.ndarray) -> float:
     # Keep a positive scale coordinate feasible by shrinking the step bound.
-    if not isinstance(model, LinearUnknownSigma):
+    k = model.scale_index
+    if k is None or direction[k] >= 0.0:
         return 1.0
-    d_sigma = direction[-1]
-    if d_sigma >= 0.0:
-        return 1.0
-    return min(1.0, 0.9 * theta[-1] / (-d_sigma))
+    return min(1.0, 0.9 * theta[k] / (-direction[k]))
 
 
 def _newton_ascent(
@@ -165,7 +152,7 @@ def fit(
         theta = model.validate_theta(np.asarray(init, dtype=float))
         stages = [alpha]
     else:
-        theta = _default_init(model, data)
+        theta = model.default_init(data)
         n_stages = int(np.ceil(alpha / CONTINUATION_STEP)) if alpha > 0 else 0
         stages = [0.0] + list(np.linspace(0.0, alpha, n_stages + 1)[1:])
     result = None
@@ -173,7 +160,9 @@ def fit(
         try:
             result = _newton_ascent(model, data, theta, stage_alpha, tol, max_iter)
         except np.linalg.LinAlgError as exc:
-            raise SingularHessianError(str(exc)) from exc
+            raise SingularHessianError(
+                f"curvature matrix is singular ({exc}); check the design for rank deficiency"
+            ) from exc
         theta = result.theta_hat
         total_iters += result.iterations
         if not result.converged:

@@ -28,7 +28,7 @@ from .alpha_likelihood import (
     alpha_likelihood_batch,
     alpha_likelihood_functional_batch,
 )
-from .models import Dataset, LinearUnknownSigma, ModelFamily
+from .models import Dataset, ModelFamily
 
 __all__ = [
     "GaussianPrior",
@@ -278,7 +278,7 @@ def log_posterior_unnorm(
     lp = prior.log_density(theta)
     if not np.isfinite(lp):
         return -np.inf
-    if isinstance(model, LinearUnknownSigma) and theta[-1] <= 0.0:
+    if not model.in_support(theta)[0]:
         return -np.inf
     return float(alpha_likelihood_batch(model, data, theta[None, :], alpha)[0]) + lp
 
@@ -320,13 +320,13 @@ def sample(
     warnings: list[str] = []
 
     x = data.responses
-    positive_scale = isinstance(model, LinearUnknownSigma)
+    scale_index = model.scale_index
 
     def logpost(theta: np.ndarray) -> float:
         lp = prior.log_density(theta)
         if not np.isfinite(lp):
             return -np.inf
-        if positive_scale and theta[-1] <= 0.0:
+        if scale_index is not None and theta[scale_index] <= 0.0:
             return -np.inf
         return model.summed_q_value(x, theta, alpha) + lp
 
@@ -455,9 +455,7 @@ def importance_expectation(
     rng = np.random.default_rng(seed)
     draws = proposal.sample_batch(rng, m)
     log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
-    valid = np.isfinite(log_w)
-    if isinstance(model, LinearUnknownSigma):
-        valid &= draws[:, -1] > 0.0
+    valid = np.isfinite(log_w) & model.in_support(draws)
     if isinstance(data_or_spec, Dataset):
         q = np.where(
             valid,

@@ -192,13 +192,14 @@ def _score_matrix(
     thetas: np.ndarray,
     points,
     alpha: float,
+    rows=slice(None),
 ) -> np.ndarray:
-    """(m, n) matrix of k_i(theta, t_i) for parameter rows."""
+    """(m, k) matrix of k_i(theta, t_i) for parameter rows and the indices in rows."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    log_f = model.log_density_batch(points, thetas)
+    log_f = model.log_density_batch(points, thetas, rows)
     if alpha == 0.0:
-        return log_f - model.log_density_expectation_batch(thetas, theta_g)
-    log_m = model.log_power_expectation_batch(thetas, alpha, theta_g)
+        return log_f - model.log_density_expectation_batch(thetas, theta_g, rows)
+    log_m = model.log_power_expectation_batch(thetas, alpha, theta_g, rows)
     # (e^{a log f(t)} - e^m)/a written through expm1 for stability at small a
     return np.exp(log_m) * np.expm1(alpha * log_f - log_m) / alpha
 
@@ -212,20 +213,15 @@ def contamination_score(
     if not isinstance(spec, InModel):
         raise TypeError("contamination scores are defined against in-model truths")
     theta = model.validate_theta(theta)
-    model._check_index(i)
-    points = np.zeros(model.n)
-    points[i] = t
-    mat = _score_matrix(model, spec.theta_g, theta[None, :], points, alpha)
-    return float(mat[0, i])
+    rows = model._check_index(i)
+    return float(_score_matrix(model, spec.theta_g, theta[None, :], t, alpha, rows)[0, 0])
 
 
 def _summed_scores(model, theta_g, thetas, scenario, alpha):
     """(m,) sums of k_i over the contaminated directions."""
     if isinstance(scenario, OneDirection):
-        points = np.zeros(model.n)
-        points[scenario.index] = scenario.point
-        mat = _score_matrix(model, theta_g, thetas, points, alpha)
-        return mat[:, scenario.index]
+        rows = [scenario.index]
+        return _score_matrix(model, theta_g, thetas, scenario.point, alpha, rows)[:, 0]
     if isinstance(scenario, AllDirections):
         mat = _score_matrix(model, theta_g, thetas, scenario.points, alpha)
         return mat.sum(axis=1)
@@ -299,7 +295,7 @@ def _locate_center(model, spec, prior, alpha) -> np.ndarray:
     if isinstance(spec, Contaminated) and spec.eps > 0.0 and model.dim == 1:
         # Global grid sweep first: the contaminated objective can be multimodal.
         pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
-        spread = 10.0 * getattr(model, "sigma", 1.0)
+        spread = 10.0 * model.scale(start)
         lo = min(float(start[0]), float(pts.min())) - spread
         hi = max(float(start[0]), float(pts.max())) + spread
         grid = np.linspace(lo, hi, 2048)
@@ -444,7 +440,7 @@ def influence_closed_form_alpha0(
     independent of the prior mean.  For the all-ones design with unit prior
     variance and sigma = 1 this is the familiar n (t - mean(z) beta_g)/(n+1).
     """
-    if not isinstance(model, LinearKnownSigma):
+    if not isinstance(model, LinearKnownSigma) or model.scale_index is not None:
         raise TypeError("closed form available for the known-scale linear model only")
     z = model.design
     s2 = model.sigma**2
@@ -637,7 +633,7 @@ def minimum_divergence_functional(
         if isinstance(spec, Contaminated) and spec.eps > 0.0:
             pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
             anchor += [float(pts.min()), float(pts.max())]
-        spread = 10.0 * getattr(model, "sigma", 1.0)
+        spread = 10.0 * model.scale(start)
         lo, hi = min(anchor) - spread, max(anchor) + spread
         grid = np.linspace(lo, hi, 4096)
         vals = alpha_likelihood_functional_batch(model, spec, grid[:, None], alpha)

@@ -78,6 +78,42 @@ class TestFitCommand:
         assert main(["fit", "/nonexistent.csv", "--model", "linear", "--alpha", "0"]) == 1
 
 
+class TestLibraryErrorExitCodes:
+    def test_rank_deficient_design_exits_two(self, tmp_path, capsys):
+        gen = np.random.default_rng(8)
+        z = gen.standard_normal(30)
+        rows = np.column_stack([1.0 + 2.0 * z + gen.standard_normal(30), z, 2.0 * z])
+        data_path = tmp_path / "rank.csv"
+        np.savetxt(data_path, rows, delimiter=",")
+        assert main(["fit", str(data_path), "--model", "linear", "--alpha", "0.3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_indefinite_curvature_exits_two(self, tmp_path, capsys, monkeypatch):
+        from dpdbayes import laplace
+
+        def indefinite(*args, **kwargs):
+            raise laplace.IndefiniteCurvatureError("not positive definite")
+
+        monkeypatch.setattr(laplace, "laplace_expectation", indefinite)
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        args = ["erpe", str(data_path), "--laplace", "--seed", "1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: not positive definite\n"
+
+    def test_non_binary_logistic_response_exits_one(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("0.5,1.0,0.2\n1.0,1.0,-0.3\n0.0,1.0,1.1\n")
+        assert main(["fit", str(data_path), "--model", "logistic", "--alpha", "0"]) == 1
+        assert "error: logistic responses must be coded 0/1" in capsys.readouterr().err
+
+    def test_fewer_rows_than_covariates_exits_one(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("1.0,1.0,2.0,3.0\n2.0,4.0,5.0,7.0\n")
+        assert main(["fit", str(data_path), "--model", "linear", "--alpha", "0"]) == 1
+        assert "error: need n >= p" in capsys.readouterr().err
+
+
 class TestAreTableCommand:
     def test_check_passes_on_reference_grid(self, tmp_path, capsys):
         code = main(["are-table", "--check", "--out", str(tmp_path)])

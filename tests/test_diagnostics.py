@@ -14,7 +14,7 @@ from dpdbayes import (
     efficiency,
     posterior_mean_replications,
 )
-from dpdbayes.diagnostics import InsufficientSampleError
+from dpdbayes.diagnostics import InsufficientSampleError, _anderson_darling_normal
 from dpdbayes.models import LinearKnownSigma, LinearUnknownSigma
 from dpdbayes.posterior import PosteriorChain
 
@@ -157,3 +157,8 @@ class TestReplications:
         assert report.upsilon_sigma_target == pytest.approx(
             efficiency(0.2).upsilon_sigma
         )
+
+    def test_anderson_darling_statistic_pinned(self):
+        # Value of scipy.stats.anderson(x).statistic for this sample (SciPy 1.17).
+        x = np.random.default_rng(0).standard_normal(60)
+        assert _anderson_darling_normal(x) == pytest.approx(0.23297306927704398, rel=1e-12)

@@ -323,3 +323,115 @@ class TestQuadratureFamily:
             builtin.loss_grad_sum(x, theta, alpha),
             atol=1e-5,
         )
+
+
+def _slice_cases(gen):
+    """(model, x, theta) for every built-in family and a quadrature family."""
+    n, p = 6, 2
+    design = gen.standard_normal((n, p))
+    beta = gen.standard_normal(p)
+    yield LinearKnownSigma(design, 1.3), design @ beta + gen.standard_normal(n), beta
+    theta = np.append(beta, 0.8)
+    yield LinearUnknownSigma(design), design @ beta + gen.standard_normal(n), theta
+    yield Logistic(design), gen.integers(0, 2, n).astype(float), beta
+    quad = _GaussianViaQuadrature(design[:3, :1])
+    yield quad, gen.standard_normal(3), gen.standard_normal(1)
+
+
+class TestKernelSlices:
+    """Per-index and single-point methods are slices of the batched kernels."""
+
+    def test_per_index_derivatives_sum_to_full_data(self):
+        gen = np.random.default_rng(11)
+        for trial in range(3):
+            for model, x, theta in _slice_cases(gen):
+                alpha = float(gen.uniform(0.0, 0.8)) if trial else 0.0
+                grads = [dpd_loss_grad(model, i, x[i], theta, alpha) for i in range(model.n)]
+                hessians = [dpd_loss_hess(model, i, x[i], theta, alpha) for i in range(model.n)]
+                assert np.allclose(
+                    np.sum(grads, axis=0), model.loss_grad_sum(x, theta, alpha), atol=1e-10
+                )
+                assert np.allclose(
+                    np.sum(hessians, axis=0), model.loss_hess_sum(x, theta, alpha), atol=1e-10
+                )
+
+    def test_single_point_value_is_batch_row(self):
+        gen = np.random.default_rng(12)
+        for alpha in [0.0, 0.3, 1e-9]:
+            for model, x, theta in _slice_cases(gen):
+                rows = theta + 0.1 * gen.standard_normal((4, theta.size))
+                rows[0] = theta
+                batch = model.summed_q_value_batch(x, rows, alpha)
+                assert model.summed_q_value(x, theta, alpha) == pytest.approx(batch[0], rel=1e-13)
+                assert batch.shape == (4,)
+
+    def test_known_scale_is_coefficient_block_of_unknown(self):
+        gen = np.random.default_rng(13)
+        for _ in range(5):
+            design = gen.standard_normal((7, 2))
+            sigma = float(gen.uniform(0.5, 2.0))
+            known, unknown = LinearKnownSigma(design, sigma), LinearUnknownSigma(design)
+            beta, beta_g = gen.standard_normal(2), gen.standard_normal(2)
+            theta, theta_g = np.append(beta, sigma), np.append(beta_g, sigma)
+            betas = gen.standard_normal((3, 2))
+            thetas = np.column_stack([betas, np.full(3, sigma)])
+            x = design @ beta_g + sigma * gen.standard_normal(7)
+            alpha = float(gen.uniform(0.0, 1.0))
+            assert np.allclose(
+                known.loss_grad_sum(x, beta, alpha), unknown.loss_grad_sum(x, theta, alpha)[:2]
+            )
+            assert np.allclose(
+                known.loss_hess_sum(x, beta, alpha),
+                unknown.loss_hess_sum(x, theta, alpha)[:2, :2],
+            )
+            for k, u in zip(
+                known.in_model_psi_omega(beta, alpha), unknown.in_model_psi_omega(theta, alpha)
+            ):
+                assert np.allclose(k, u[:2, :2])
+            assert np.allclose(
+                known.log_power_expectation_batch(betas, alpha, beta_g),
+                unknown.log_power_expectation_batch(thetas, alpha, theta_g),
+            )
+            assert np.allclose(
+                known.log_density_expectation_batch(betas, beta_g),
+                unknown.log_density_expectation_batch(thetas, theta_g),
+            )
+
+
+class _CountingGaussian(_GaussianViaQuadrature):
+    """Records the observation index of every log-density evaluation."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.indices = []
+
+    def support(self):
+        return (-math.inf, math.inf)
+
+    def log_density_scalar(self, i, x, theta):
+        self.indices.append(i)
+        return super().log_density_scalar(i, x, theta)
+
+
+class TestQuadratureDerivatives:
+    def test_per_index_gradient_integrates_only_that_index(self):
+        model = _CountingGaussian(np.array([[1.0], [0.5], [2.0], [1.5]]))
+        grad = dpd_loss_grad(model, 2, 0.3, [0.4], 0.5)
+        assert set(model.indices) == {2}
+        closed = dpd_loss_grad(LinearKnownSigma(model.design, 1.0), 2, 0.3, [0.4], 0.5)
+        assert np.allclose(grad, closed, atol=1e-6)
+
+    def test_default_fit_matches_closed_form(self):
+        from dpdbayes import fit
+
+        design = np.ones((3, 1))
+        data = Dataset(5.0 + np.random.default_rng(3).standard_normal(3), design)
+        quad = fit(_CountingGaussian(design), data, 0.5)
+        closed = fit(LinearKnownSigma(design, 1.0), data, 0.5)
+        assert quad.converged
+        assert quad.theta_hat[0] == pytest.approx(closed.theta_hat[0], abs=1e-6)
+
+    def test_vanishing_integral_names_the_index(self):
+        model = _GaussianViaQuadrature(np.array([[1.0], [1.0]]))
+        with pytest.raises(ValueError, match="index 1"):
+            model.integral_power(1, [1e3], 0.5)

@@ -12,6 +12,7 @@ from dpdbayes import (
     GaussianPrior,
     InModel,
     LinearKnownSigma,
+    LinearUnknownSigma,
     McConfig,
     OneDirection,
     breakdown_experiment,
@@ -104,6 +105,12 @@ class TestInfluence:
         for t in [-20.0, -3.0, 5.0, 14.0]:
             value = influence_closed_form_alpha0(model, prior, spec, t)
             assert value[0] == pytest.approx(n * (t - 5.0) / (n + 1), abs=1e-12)
+
+    def test_closed_form_rejects_free_scale(self, location_setup):
+        _, spec, prior = location_setup
+        model = LinearUnknownSigma(np.ones((20, 1)))
+        with pytest.raises(TypeError):
+            influence_closed_form_alpha0(model, prior, InModel([5.0, 1.0]), 3.0)
 
     def test_closed_form_prior_mean_free(self, location_setup):
         model, spec, _ = location_setup

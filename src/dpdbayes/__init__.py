@@ -65,6 +65,7 @@ from .posterior import (
     GaussianPrior,
     ImportanceResult,
     LossFunction,
+    NoFiniteStartError,
     PosteriorChain,
     PosteriorMeanEstimate,
     SamplerConfig,

@@ -10,8 +10,9 @@ stochastic subcommands; there is no wall-clock fallback.
 
 Exit codes: 0 success; 1 input errors (unreadable or malformed data, bad
 configuration, data the model rejects); 2 numerical failures (singular or
-indefinite curvature, collapsed importance weights, non-convergence) and a
-failed ``are-table --check``.  A library error is printed as one line,
+indefinite curvature, collapsed importance weights, non-convergence, no
+sampler starting point with finite posterior) and a failed
+``are-table --check``.  A library error is printed as one line,
 ``error: ...``, not as a traceback.
 
 Subcommands
@@ -552,6 +553,7 @@ def main(argv=None) -> int:
         return 1
     except (
         posterior.DegenerateWeightsError,
+        posterior.NoFiniteStartError,
         mdpde.SingularHessianError,
         laplace.IndefiniteCurvatureError,
     ) as exc:

@@ -279,7 +279,8 @@ class ModelFamily(ABC):
 
     @abstractmethod
     def log_density_batch(self, points, thetas, rows=slice(None)) -> np.ndarray:
-        """(m, k) array of log f_{i,theta}(t_i) for parameter rows."""
+        """(m, k) array of log f_{i,theta}(t_i) for parameter rows; a new
+        array that the caller may overwrite."""
 
     @abstractmethod
     def log_power_integral_batch(self, thetas, alpha: float, rows=slice(None)) -> np.ndarray:
@@ -474,9 +475,15 @@ class LinearKnownSigma(ModelFamily):
         return np.append(beta, max(float(np.sqrt(np.mean(resid**2))), 1e-3))
 
     def log_density_batch(self, points, thetas, rows=slice(None)):
+        # One (m, k) scratch array, updated in place: log_norm - r*r/(2 sigma^2)
+        # with r = points - z'beta, in that operation order.
         betas, sigma = self._split(np.atleast_2d(np.asarray(thetas, dtype=float)))
-        r = np.asarray(points, dtype=float) - betas @ self.design[rows].T
-        return _log_norm(sigma) - r * r / (2.0 * sigma**2)
+        work = betas @ self.design[rows].T
+        np.subtract(np.asarray(points, dtype=float), work, out=work)
+        np.multiply(work, work, out=work)
+        work /= 2.0 * sigma**2
+        np.subtract(_log_norm(sigma), work, out=work)
+        return work
 
     def log_power_integral_batch(self, thetas, alpha, rows=slice(None)):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -561,6 +568,8 @@ class LinearKnownSigma(ModelFamily):
     def zeta(self, alpha: float) -> float:
         """Curvature constant (2 pi)^{-a/2} sigma^{-(a+2)} (1+a)^{-3/2} of the
         known scale: psi = zeta(a) Z'Z/n and omega = zeta(2a) Z'Z/n."""
+        if self.scale_index is not None:
+            raise TypeError("closed form available for the known-scale linear model only")
         return _zeta(alpha, self.sigma)
 
     def in_model_psi_omega(self, theta, alpha):

@@ -40,6 +40,7 @@ __all__ = [
     "ImportanceResult",
     "LossFunction",
     "DegenerateWeightsError",
+    "NoFiniteStartError",
     "log_posterior_unnorm",
     "sample",
     "posterior_mean",
@@ -55,6 +56,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 class DegenerateWeightsError(RuntimeError):
     """Importance weights collapsed onto too few draws to be usable."""
+
+
+class NoFiniteStartError(RuntimeError):
+    """The sampler found no starting point with a finite posterior density."""
 
 
 @dataclass(frozen=True)
@@ -338,7 +343,7 @@ def sample(
     tries = 0
     while not np.isfinite(cur_lp):
         if not getattr(prior, "is_proper", False) or tries >= 1000:
-            raise RuntimeError("could not find a starting point with finite posterior")
+            raise NoFiniteStartError("could not find a starting point with finite posterior")
         current = prior.sample(rng)
         cur_lp = logpost(current)
         tries += 1

@@ -186,22 +186,49 @@ class BreakdownCurve:
 # ---------------------------------------------------------------------------
 
 
-def _score_matrix(
-    model: ModelFamily,
-    theta_g: np.ndarray,
-    thetas: np.ndarray,
-    points,
-    alpha: float,
-    rows=slice(None),
-) -> np.ndarray:
-    """(m, k) matrix of k_i(theta, t_i) for parameter rows and the indices in rows."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    log_f = model.log_density_batch(points, thetas, rows)
-    if alpha == 0.0:
-        return log_f - model.log_density_expectation_batch(thetas, theta_g, rows)
-    log_m = model.log_power_expectation_batch(thetas, alpha, theta_g, rows)
-    # (e^{a log f(t)} - e^m)/a written through expm1 for stability at small a
-    return np.exp(log_m) * np.expm1(alpha * log_f - log_m) / alpha
+class _ScoreTerms:
+    """Contamination scores of fixed parameter rows, prepared for many points.
+
+    The expectation term (log integral f_i^a dG_i, or integral log f_i dG_i
+    at a = 0) and its exponential do not depend on the contamination point,
+    so they are computed once per (rows, theta_g, a); each point then costs
+    one log-density call and in-place updates of its result.
+    """
+
+    def __init__(self, model: ModelFamily, theta_g, thetas, alpha: float, rows=slice(None)):
+        self.model = model
+        self.thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        self.alpha = alpha
+        self.rows = rows
+        if alpha == 0.0:
+            self.log_m = model.log_density_expectation_batch(self.thetas, theta_g, rows)
+        else:
+            self.log_m = model.log_power_expectation_batch(self.thetas, alpha, theta_g, rows)
+            self.m = np.exp(self.log_m)
+
+
+def _scenario_block(scenario):
+    """(index block, contamination points) of a contamination scenario."""
+    if isinstance(scenario, OneDirection):
+        return [scenario.index], scenario.point
+    if isinstance(scenario, AllDirections):
+        return slice(None), scenario.points
+    raise TypeError(f"unsupported contamination scenario: {type(scenario).__name__}")
+
+
+def _summed_scores(terms: _ScoreTerms, points) -> np.ndarray:
+    """(m,) sums of k_i(theta, t_i) over the prepared rows and indices."""
+    work = terms.model.log_density_batch(points, terms.thetas, terms.rows)
+    if terms.alpha == 0.0:
+        work -= terms.log_m
+    else:
+        # (e^{a log f(t)} - e^m)/a written through expm1 for stability at small a
+        work *= terms.alpha
+        work -= terms.log_m
+        np.expm1(work, out=work)
+        work *= terms.m
+        work /= terms.alpha
+    return work.sum(axis=1)
 
 
 def contamination_score(
@@ -213,19 +240,8 @@ def contamination_score(
     if not isinstance(spec, InModel):
         raise TypeError("contamination scores are defined against in-model truths")
     theta = model.validate_theta(theta)
-    rows = model._check_index(i)
-    return float(_score_matrix(model, spec.theta_g, theta[None, :], t, alpha, rows)[0, 0])
-
-
-def _summed_scores(model, theta_g, thetas, scenario, alpha):
-    """(m,) sums of k_i over the contaminated directions."""
-    if isinstance(scenario, OneDirection):
-        rows = [scenario.index]
-        return _score_matrix(model, theta_g, thetas, scenario.point, alpha, rows)[:, 0]
-    if isinstance(scenario, AllDirections):
-        mat = _score_matrix(model, theta_g, thetas, scenario.points, alpha)
-        return mat.sum(axis=1)
-    raise TypeError(f"unsupported contamination scenario: {type(scenario).__name__}")
+    terms = _ScoreTerms(model, spec.theta_g, theta, alpha, model._check_index(i))
+    return float(_summed_scores(terms, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +294,19 @@ def _fd_curvature(fn, center: np.ndarray) -> np.ndarray:
 
 
 def _log_functional_posterior(model, spec, prior, alpha):
+    """Log population objective plus log prior per parameter row; rows
+    outside the parameter space get -inf and are never evaluated."""
+
     def fn_batch(thetas):
+        thetas = np.atleast_2d(thetas)
+        inside = model.in_support(thetas)
+        if not inside.all():
+            out = np.full(thetas.shape[0], -np.inf)
+            if inside.any():
+                out[inside] = fn_batch(thetas[inside])
+            return out
         vals = alpha_likelihood_functional_batch(model, spec, thetas, alpha)
-        return vals + prior.log_density_batch(np.atleast_2d(thetas))
+        return vals + prior.log_density_batch(thetas)
 
     return fn_batch
 
@@ -312,9 +338,10 @@ def functional_posterior_sample(
 
     The proposal is a two-scale Gaussian mixture centered at the maximizer of
     the population objective plus log prior, with covariance from its
-    finite-difference curvature (inflated).  Raises
-    ``DegenerateWeightsError`` when the effective sample size stays below 50
-    after two widening retries.
+    finite-difference curvature (inflated).  Draws outside the parameter
+    space are dropped, so the sample may hold fewer than ``mc.draws`` rows.
+    Raises ``DegenerateWeightsError`` when the effective sample size stays
+    below 50 after two widening retries.
     """
     fn_batch = _log_functional_posterior(model, spec, prior, alpha)
     center = _locate_center(model, spec, prior, alpha)
@@ -332,6 +359,9 @@ def functional_posterior_sample(
     for _ in range(3):
         proposal = _TwoScaleProposal(center, inflation**2 * cov)
         draws = proposal.sample_batch(rng, mc.draws)
+        inside = model.in_support(draws)
+        if not inside.all():
+            draws = draws[inside]
         log_w = fn_batch(draws) - proposal.log_density_batch(draws)
         log_w -= np.max(log_w)
         w = np.exp(log_w)
@@ -363,6 +393,31 @@ def _weighted_cov_vector(draws, weights, scores):
     return weights @ centered
 
 
+def _weight_blocks(weights):
+    """Ten contiguous draw blocks with positive total weight, as pairs of
+    (indices, weights normalized within the block), for block standard errors."""
+    blocks = []
+    for idx in np.array_split(np.arange(weights.size), 10):
+        wb = weights[idx]
+        tot = wb.sum()
+        if tot > 0.0:
+            blocks.append((idx, wb / tot))
+    return blocks
+
+
+def _covariance_influence(sample, blocks, scores) -> InfluenceEstimate:
+    """Posterior covariance between the parameter and the scores, with its
+    block standard error."""
+    value = _weighted_cov_vector(sample.draws, sample.weights, scores)
+    block_vals = np.asarray(
+        [_weighted_cov_vector(sample.draws[idx], wb, scores[idx]) for idx, wb in blocks]
+    )
+    se = block_vals.std(axis=0, ddof=1) / math.sqrt(block_vals.shape[0])
+    return InfluenceEstimate(
+        value=value, standard_error=se, effective_sample_size=sample.effective_sample_size
+    )
+
+
 def influence_posterior_mean(
     model: ModelFamily,
     spec: InModel,
@@ -380,23 +435,12 @@ def influence_posterior_mean(
     """
     if not isinstance(spec, InModel):
         raise TypeError("influence functions are derivatives at the uncontaminated truth")
+    rows, points = _scenario_block(scenario)
     if sample is None:
         sample = functional_posterior_sample(model, spec, prior, alpha, mc)
-    scores = _summed_scores(model, spec.theta_g, sample.draws, scenario, alpha)
-    value = _weighted_cov_vector(sample.draws, sample.weights, scores)
-    blocks = np.array_split(np.arange(sample.draws.shape[0]), 10)
-    block_vals = []
-    for idx in blocks:
-        wb = sample.weights[idx]
-        tot = wb.sum()
-        if tot <= 0.0:
-            continue
-        block_vals.append(_weighted_cov_vector(sample.draws[idx], wb / tot, scores[idx]))
-    block_vals = np.asarray(block_vals)
-    se = block_vals.std(axis=0, ddof=1) / math.sqrt(block_vals.shape[0])
-    return InfluenceEstimate(
-        value=value, standard_error=se, effective_sample_size=sample.effective_sample_size
-    )
+    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha, rows)
+    scores = _summed_scores(terms, points)
+    return _covariance_influence(sample, _weight_blocks(sample.weights), scores)
 
 
 def influence_curve(
@@ -408,22 +452,30 @@ def influence_curve(
     mc: McConfig,
 ) -> tuple[np.ndarray, np.ndarray, FunctionalPosteriorSample]:
     """All-directions influence values over a grid of common contamination
-    points, sharing one population-posterior sample across the grid.
+    points, sharing one population-posterior sample and its prepared score
+    terms across the grid.
 
     Returns (values, standard_errors, sample) with values of shape
     (len(t_grid), dim).
     """
+    if not isinstance(spec, InModel):
+        raise TypeError("influence functions are derivatives at the uncontaminated truth")
     sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
+    blocks = _weight_blocks(sample.weights)
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.empty((t_grid.size, model.dim))
     errors = np.empty_like(values)
     for j, t in enumerate(t_grid):
-        est = influence_posterior_mean(
-            model, spec, prior, alpha, AllDirections(points=float(t)), mc, sample=sample
-        )
+        est = _covariance_influence(sample, blocks, _summed_scores(terms, float(t)))
         values[j] = est.value
         errors[j] = est.standard_error
     return values, errors, sample
+
+
+def _require_known_scale(model) -> None:
+    if not isinstance(model, LinearKnownSigma) or model.scale_index is not None:
+        raise TypeError("closed form available for the known-scale linear model only")
 
 
 def influence_closed_form_alpha0(
@@ -440,8 +492,7 @@ def influence_closed_form_alpha0(
     independent of the prior mean.  For the all-ones design with unit prior
     variance and sigma = 1 this is the familiar n (t - mean(z) beta_g)/(n+1).
     """
-    if not isinstance(model, LinearKnownSigma) or model.scale_index is not None:
-        raise TypeError("closed form available for the known-scale linear model only")
+    _require_known_scale(model)
     z = model.design
     s2 = model.sigma**2
     v = np.linalg.inv(np.linalg.inv(prior.covariance) + z.T @ z / s2)
@@ -466,6 +517,7 @@ def influence_bayes_estimate(
     minimizer T of the population posterior; with squared-error loss this
     reproduces the posterior-mean influence exactly.
     """
+    rows, points = _scenario_block(scenario)
     if sample is None:
         sample = functional_posterior_sample(model, spec, prior, alpha, mc)
     draws = sample.draws[:, component]
@@ -484,18 +536,13 @@ def influence_bayes_estimate(
     denom = float(w @ loss.d2(draws, t_star))
     if denom <= 0.0:
         raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-    scores = _summed_scores(model, spec.theta_g, sample.draws, scenario, alpha)
+    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha, rows)
+    scores = _summed_scores(terms, points)
     lprime = loss.d1(draws, t_star)
     value = -float(w @ (lprime * scores)) / denom
-    blocks = np.array_split(np.arange(draws.shape[0]), 10)
-    vals = []
-    for idx in blocks:
-        wb = w[idx]
-        tot = wb.sum()
-        if tot <= 0.0:
-            continue
-        vals.append(-float((wb / tot) @ (lprime[idx] * scores[idx])) / denom)
-    vals = np.asarray(vals)
+    vals = np.asarray(
+        [-float(wb @ (lprime[idx] * scores[idx])) / denom for idx, wb in _weight_blocks(w)]
+    )
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     return InfluenceEstimate(
         value=np.atleast_1d(value),
@@ -530,21 +577,22 @@ def pseudo_influence(
         theta_grid = theta_grid.reshape(-1, model.dim)
     t_grid = np.asarray(t_grid, dtype=float)
     sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+    draw_terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
+    grid_terms = _ScoreTerms(model, spec.theta_g, theta_grid, alpha)
     half = sample.draws.shape[0] // 2
+    w1, w2 = sample.weights[:half], sample.weights[half:]
+    tot1, tot2 = float(w1.sum()), float(w2.sum())
     surface = np.empty((theta_grid.shape[0], t_grid.size))
     post_var = np.empty(t_grid.size)
     check = np.empty(t_grid.size)
     check_se = np.empty(t_grid.size)
     for j, t in enumerate(t_grid):
-        scenario = AllDirections(points=float(t))
-        scores = _summed_scores(model, spec.theta_g, sample.draws, scenario, alpha)
+        scores = _summed_scores(draw_terms, float(t))
         mean_score = float(sample.weights @ scores)
         post_var[j] = sample.variance(scores)
-        grid_scores = _summed_scores(model, spec.theta_g, theta_grid, scenario, alpha)
-        surface[:, j] = grid_scores - mean_score
-        w1, w2 = sample.weights[:half], sample.weights[half:]
-        m1 = float(w1 @ scores[:half]) / float(w1.sum())
-        m2 = float(w2 @ scores[half:]) / float(w2.sum())
+        surface[:, j] = _summed_scores(grid_terms, float(t)) - mean_score
+        m1 = float(w1 @ scores[:half]) / tot1
+        m2 = float(w2 @ scores[half:]) / tot2
         check[j] = m1 - m2
         # Crude scale for the split discrepancy from the pooled variance.
         check_se[j] = math.sqrt(
@@ -574,6 +622,7 @@ def pseudo_influence_closed_form_alpha0(
     with the prior mean at theta_g the posterior mean equals theta_g and
     this is the familiar unbounded-in-t linear form.
     """
+    _require_known_scale(model)
     z = model.design
     s2 = model.sigma**2
     theta = model.validate_theta(theta)

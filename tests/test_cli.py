@@ -107,6 +107,21 @@ class TestLibraryErrorExitCodes:
         assert main(["fit", str(data_path), "--model", "logistic", "--alpha", "0"]) == 1
         assert "error: logistic responses must be coded 0/1" in capsys.readouterr().err
 
+    def test_no_finite_starting_point_exits_two(self, tmp_path, capsys):
+        gen = np.random.default_rng(9)
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.column_stack([5.0 + gen.standard_normal(30), np.ones(30)]),
+                   delimiter=",")
+        # The box prior puts all its mass on sigma in [-3, -1].
+        args = [
+            "sample", str(data_path), "--model", "linear-unknown", "--seed", "3",
+            "--out", str(tmp_path / "out"), "--set", "prior.kind=box",
+            "--set", "prior.mean=5,-2", "--set", "prior.halfwidth=1",
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: could not find a starting point with finite posterior\n"
+
     def test_fewer_rows_than_covariates_exits_one(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         data_path.write_text("1.0,1.0,2.0,3.0\n2.0,4.0,5.0,7.0\n")

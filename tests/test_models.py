@@ -398,6 +398,28 @@ class TestKernelSlices:
             )
 
 
+    def test_gaussian_log_density_is_the_formula(self):
+        from dpdbayes.models import _log_norm
+
+        gen = np.random.default_rng(14)
+        design = gen.standard_normal((9, 2))
+        x = gen.standard_normal(9)
+        betas = gen.standard_normal((4, 2))
+        sigmas = gen.uniform(0.5, 2.0, (4, 1))
+        r = x - betas @ design.T
+        known = LinearKnownSigma(design, 1.7).log_density_batch(x, betas)
+        assert np.array_equal(known, _log_norm(1.7) - r * r / (2.0 * 1.7**2))
+        free = LinearUnknownSigma(design).log_density_batch(x, np.column_stack([betas, sigmas]))
+        assert np.array_equal(free, _log_norm(sigmas) - r * r / (2.0 * sigmas**2))
+        r_block = 0.5 - betas @ design[[3, 0]].T
+        block = LinearKnownSigma(design, 1.7).log_density_batch(0.5, betas, [3, 0])
+        assert np.array_equal(block, _log_norm(1.7) - r_block * r_block / (2.0 * 1.7**2))
+
+    def test_zeta_rejects_free_scale(self):
+        with pytest.raises(TypeError, match="known-scale linear model only"):
+            LinearUnknownSigma(np.ones((20, 1))).zeta(0.5)
+
+
 class _CountingGaussian(_GaussianViaQuadrature):
     """Records the observation index of every log-density evaluation."""
 

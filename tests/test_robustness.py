@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dpdbayes import (
     InModel,
     LinearKnownSigma,
     LinearUnknownSigma,
+    Logistic,
     McConfig,
     OneDirection,
     breakdown_experiment,
@@ -27,7 +29,12 @@ from dpdbayes import (
     sensitivities,
     squared_error_loss,
 )
-from dpdbayes.robustness import functional_posterior_sample
+from dpdbayes.robustness import (
+    _scenario_block,
+    _ScoreTerms,
+    _summed_scores,
+    functional_posterior_sample,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +103,53 @@ class TestContaminationScore:
             assert abs(k0 - k_eps) < 1e-6
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.5])
+    def test_prepared_scores_sum_the_per_index_scores(self, alpha):
+        gen = np.random.default_rng(41)
+        design = np.column_stack([np.ones(6), gen.standard_normal(6)])
+        cases = [
+            (LinearKnownSigma(design, 1.3), [0.5, -1.0], [-2.0, 0.7, 40.0]),
+            (LinearUnknownSigma(design), [0.5, -1.0, 1.3], [-2.0, 0.7, 40.0]),
+            (Logistic(design), [0.5, -1.0], [0.0, 1.0]),
+        ]
+        for model, theta_g, points in cases:
+            spec = InModel(theta_g)
+            thetas = spec.theta_g + 0.3 * gen.standard_normal((5, model.dim))
+            thetas[:, model.dim - 1] = np.abs(thetas[:, model.dim - 1])
+            for t in points:
+                per_index = np.array(
+                    [
+                        [contamination_score(model, spec, i, th, t, alpha) for i in range(model.n)]
+                        for th in thetas
+                    ]
+                )
+                for scenario, expected in [
+                    (AllDirections(points=t), per_index.sum(axis=1)),
+                    (OneDirection(index=3, point=t), per_index[:, 3]),
+                ]:
+                    rows, pts = _scenario_block(scenario)
+                    terms = _ScoreTerms(model, spec.theta_g, thetas, alpha, rows)
+                    got = _summed_scores(terms, pts)
+                    scale = np.abs(per_index).sum(axis=1)
+                    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+class TestFunctionalPosteriorSample:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_free_scale_draws_outside_the_parameter_space_are_dropped(self, alpha):
+        model = LinearUnknownSigma(np.ones((20, 1)))
+        spec = InModel([5.0, 0.3])
+        prior = GaussianPrior([5.0, 0.3], np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = functional_posterior_sample(
+                model, spec, prior, alpha, McConfig(seed=5, draws=5000)
+            )
+        assert sample.effective_sample_size >= 50.0
+        assert np.all(sample.draws[:, 1] > 0.0)
+        assert sample.weights.sum() == pytest.approx(1.0)
+
+
 class TestInfluence:
     def test_alpha_zero_closed_form_location(self, location_setup):
         model, _, _ = location_setup
@@ -111,6 +165,14 @@ class TestInfluence:
         model = LinearUnknownSigma(np.ones((20, 1)))
         with pytest.raises(TypeError):
             influence_closed_form_alpha0(model, prior, InModel([5.0, 1.0]), 3.0)
+
+    def test_pseudo_closed_form_rejects_free_scale(self, location_setup):
+        _, _, prior = location_setup
+        model = LinearUnknownSigma(np.ones((20, 1)))
+        with pytest.raises(TypeError, match="known-scale linear model only"):
+            pseudo_influence_closed_form_alpha0(
+                model, prior, InModel([5.0, 1.0]), [5.0, 1.0], 3.0
+            )
 
     def test_closed_form_prior_mean_free(self, location_setup):
         model, spec, _ = location_setup

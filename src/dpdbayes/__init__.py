@@ -38,6 +38,7 @@ from .laplace import (
     laplace_integral,
 )
 from .mdpde import (
+    FitNotConvergedError,
     MdpdeResult,
     SandwichMatrices,
     SingularHessianError,

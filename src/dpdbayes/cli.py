@@ -10,8 +10,9 @@ stochastic subcommands; there is no wall-clock fallback.
 
 Exit codes: 0 success; 1 input errors (unreadable or malformed data, bad
 configuration, data the model rejects); 2 numerical failures (singular or
-indefinite curvature, collapsed importance weights, non-convergence, no
-sampler starting point with finite posterior) and a failed
+indefinite curvature, collapsed importance weights, a point estimate that
+did not converge or sits at a flat optimum such as separated logistic data,
+no sampler starting point with finite posterior) and a failed
 ``are-table --check``.  A library error is printed as one line,
 ``error: ...``, not as a traceback.
 
@@ -554,6 +555,7 @@ def main(argv=None) -> int:
     except (
         posterior.DegenerateWeightsError,
         posterior.NoFiniteStartError,
+        mdpde.FitNotConvergedError,
         mdpde.SingularHessianError,
         laplace.IndefiniteCurvatureError,
     ) as exc:

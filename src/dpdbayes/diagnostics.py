@@ -241,14 +241,12 @@ def posterior_mean_replications(
         responses = model.sample_responses(theta_g, rng)
         data = Dataset(responses=responses, design=model.design)
         try:
-            fit_res = mdpde.fit(model, data, alpha)
-            if not fit_res.converged:
-                raise RuntimeError("point estimate did not converge")
-            sw = mdpde.sandwich(model, data, fit_res.theta_hat, alpha)
+            theta_hat = mdpde.fit(model, data, alpha).converged_estimate()
+            sw = mdpde.sandwich(model, data, theta_hat, alpha)
             # Inverse observed curvature = Laplace covariance of the posterior.
             cov = np.linalg.inv(model.n * sw.psi_hat)
             cov = 0.5 * (cov + cov.T)
-            proposal = GaussianPrior(fit_res.theta_hat, proposal_inflation**2 * cov)
+            proposal = GaussianPrior(theta_hat, proposal_inflation**2 * cov)
             result = importance_expectation(
                 model,
                 data,

@@ -68,10 +68,7 @@ class ExpansionDiagnostics:
 def _fit_if_needed(model, data, alpha, theta_hat):
     if theta_hat is not None:
         return model.validate_theta(theta_hat)
-    result = mdpde.fit(model, data, alpha)
-    if not result.converged:
-        raise RuntimeError("point estimation did not converge; cannot expand")
-    return result.theta_hat
+    return mdpde.fit(model, data, alpha).converged_estimate()
 
 
 def laplace_integral(
@@ -162,18 +159,23 @@ def check_expansion_conditions(
     around the maximizer and reports, for each delta, the supremum outside
     the delta-ball (negative values support the expansion).  Also reports the
     determinant and smallest eigenvalue of the observed curvature divided
-    by n, flagging near-singular (flat) directions such as those produced by
-    separated logistic data.
+    by n, flagging flat directions such as those produced by a
+    rank-deficient design or separated logistic data (the test of
+    ``mdpde.fit``, which needs the family's ``curvature_unit``).  Without
+    ``theta_hat`` the fitted optimum is used, flat or not; a fit that
+    failed otherwise raises ``mdpde.FitNotConvergedError``.
     """
-    theta_hat = _fit_if_needed(model, data, alpha, theta_hat)
+    if theta_hat is None:
+        result = mdpde.fit(model, data, alpha)
+        if not (result.converged or result.flat):
+            raise mdpde.FitNotConvergedError(result)
+        theta_hat = result.theta_hat
+    theta_hat = model.validate_theta(theta_hat)
     state = alpha_likelihood(model, data, theta_hat, alpha, derivatives=True)
     curvature = -state.hessian / model.n
     eigvals = np.linalg.eigvalsh(curvature)
     warnings = []
-    # Relative test catches rank deficiency; the absolute floor catches an
-    # overall flat objective (e.g. separated logistic data) on unit-scale
-    # problems where every eigenvalue collapses together.
-    if eigvals[0] <= max(1e-8 * max(eigvals[-1], 1e-300), 1e-6):
+    if mdpde._flat_direction(model, theta_hat, alpha, curvature):
         warnings.append(
             "near-zero curvature eigenvalue: flat direction at the mode "
             "(rank-deficient design or separated data)"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood
 from .models import Dataset, ModelFamily
@@ -27,6 +28,7 @@ __all__ = [
     "MdpdeResult",
     "SandwichMatrices",
     "SingularHessianError",
+    "FitNotConvergedError",
     "fit",
     "sandwich",
     "asymptotic_covariance",
@@ -35,9 +37,29 @@ __all__ = [
 #: Largest increment used on the warm-start continuation path in alpha.
 CONTINUATION_STEP = 0.1
 
+#: Generalized eigenvalue of the per-observation curvature against the
+#: family's ``curvature_unit`` at or below which an optimum is flat.  Regular
+#: fits read 0.01 to 2; separated logistic data reads 1e-7 and less.
+FLAT_CURVATURE = 1e-6
+
 
 class SingularHessianError(RuntimeError):
     """The curvature matrix is numerically singular (degenerate design)."""
+
+
+class FitNotConvergedError(RuntimeError):
+    """A caller needs a converged point estimate and ``fit`` returned
+    ``converged=False`` (iteration cap, stalled line search, or a flat
+    optimum such as separated logistic data)."""
+
+    def __init__(self, result: MdpdeResult) -> None:
+        if result.flat:
+            reason = "the objective is flat in some direction at the optimum, as on separated data"
+        else:
+            reason = (
+                f"gradient norm {result.gradient_norm:.3g} after {result.iterations} iterations"
+            )
+        super().__init__(f"point estimate did not converge: {reason}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,18 @@ class MdpdeResult:
     iterations: int
     converged: bool
     gradient_norm: float
+    #: The gradient test passed at a flat optimum; ``converged`` is False.
+    flat: bool = False
+
+    def converged_estimate(self) -> np.ndarray:
+        """``theta_hat`` of a converged fit.
+
+        Raises:
+            FitNotConvergedError: If the fit did not converge.
+        """
+        if not self.converged:
+            raise FitNotConvergedError(self)
+        return self.theta_hat
 
 
 @dataclass(frozen=True)
@@ -67,6 +101,26 @@ def _is_pd(matrix: np.ndarray) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
+
+
+def _flat_direction(model: ModelFamily, theta, alpha: float, curvature: np.ndarray) -> bool:
+    """Whether ``curvature``, the negative objective Hessian over n at
+    ``theta``, has a flat direction.
+
+    The curvature is measured against ``model.curvature_unit``: its smallest
+    generalized eigenvalue is compared with ``FLAT_CURVATURE``, so the test
+    depends neither on units nor on how collinear the design is.  A singular
+    unit (a rank-deficient design) is a flat direction itself.  A family
+    without a unit gets no verdict (False).
+    """
+    unit = model.curvature_unit(theta, alpha)
+    if unit is None:
+        return False
+    try:
+        eigvals = scipy.linalg.eigh(curvature, unit, eigvals_only=True)
+    except np.linalg.LinAlgError:
+        return True
+    return bool(eigvals[0] <= FLAT_CURVATURE)
 
 
 def _max_feasible_step(model: ModelFamily, theta: np.ndarray, direction: np.ndarray) -> float:
@@ -133,7 +187,8 @@ def fit(
     Args:
         model: Model family (design must have full column rank; otherwise the
             curvature matrix is singular and a ``SingularHessianError`` is
-            raised).
+            raised, or, where rounding leaves it positive definite, the fit
+            is flat).
         data: Observations.
         alpha: Tuning constant, >= 0.
         init: Optional starting point.  When omitted, fitting starts from the
@@ -142,6 +197,10 @@ def fit(
         grad_tol: Convergence threshold on the gradient norm, scaled by n.
         max_iter: Newton iteration cap per continuation stage.  Exceeding it
             returns ``converged=False`` with diagnostics rather than raising.
+
+    A stationary point whose curvature has a flat direction (a vanishing
+    gradient at infinity, as on separated logistic data) also returns
+    ``converged=False``, with ``flat=True``.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -169,17 +228,20 @@ def fit(
             break
     assert result is not None
     curvature = -alpha_likelihood(model, data, theta, alpha, derivatives=True).hessian
+    # The same Cholesky test as laplace_integral's, so a converged fit expands.
     if result.converged and not _is_pd(curvature):
         raise SingularHessianError(
             "curvature at the optimum is not positive definite; "
             "check the design for rank deficiency"
         )
+    flat = result.converged and _flat_direction(model, theta, alpha, curvature / model.n)
     return MdpdeResult(
         theta_hat=theta,
         q_value=result.q_value,
         iterations=total_iters,
-        converged=result.converged,
+        converged=result.converged and not flat,
         gradient_norm=result.gradient_norm,
+        flat=flat,
     )
 
 

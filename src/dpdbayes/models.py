@@ -22,8 +22,8 @@ the per-index ones (``log_density``, ``density_power``, ``integral_power``,
 ``dpd_loss*``) are slices of those kernels, defined once on ``ModelFamily``.
 A family may override ``summed_q_value_batch``, the samplers' hot path,
 with an in-place kernel.  What the other layers need to know about a family
-is stated by four hooks rather than by type checks: ``scale_index``,
-``in_support``, ``default_init`` and ``scale``.
+is stated by five hooks rather than by type checks: ``scale_index``,
+``in_support``, ``default_init``, ``scale`` and ``curvature_unit``.
 
 The two Gaussian families share one kernel set: ``LinearKnownSigma`` pins
 the scale to its ``sigma`` and ``LinearUnknownSigma`` reads it from the last
@@ -275,6 +275,20 @@ class ModelFamily(ABC):
         one-dimensional grid sweeps and the sigma of efficiency targets."""
         return 1.0
 
+    def curvature_unit(self, theta, alpha: float) -> np.ndarray | None:
+        """(dim, dim) positive-semidefinite matrix in the units of the
+        per-observation objective curvature at ``theta`` (singular only for
+        a rank-deficient design), or None (the default) when the family
+        cannot state one.
+
+        A regular optimum has a curvature of order one in this unit whatever
+        the units of the responses and of the design columns and however
+        collinear the columns are; ``mdpde.fit`` declares an optimum flat
+        when a generalized eigenvalue against it vanishes.  A family without
+        one gets no flat-optimum test.
+        """
+        return None
+
     # ---- per-family kernels ----------------------------------------------
 
     @abstractmethod
@@ -466,6 +480,15 @@ class LinearKnownSigma(ModelFamily):
 
     def scale(self, theta) -> float:
         return self._split(np.asarray(theta, dtype=float))[1]
+
+    def curvature_unit(self, theta, alpha):
+        # Each derivative in a coefficient brings a covariate over the scale,
+        # one in the scale a 1/scale, and f^a itself carries scale^-a.
+        _, sigma = self._split(np.asarray(theta, dtype=float))
+        p = self.n_covariates
+        unit = np.eye(self.dim)
+        unit[:p, :p] = self.design.T @ self.design / self.n
+        return unit * sigma ** -(2.0 + alpha)
 
     def default_init(self, data: Dataset) -> np.ndarray:
         beta, *_ = np.linalg.lstsq(self.design, data.responses, rcond=None)
@@ -732,6 +755,11 @@ class Logistic(ModelFamily):
         t += lae
         total -= t.sum(axis=1) / (1.0 + alpha)
         return total
+
+    def curvature_unit(self, theta, alpha):
+        # Bernoulli weights are at most 1/4; they vanish only where every
+        # fitted probability is 0 or 1 (separated data).
+        return self.design.T @ self.design / self.n
 
     def in_model_psi_omega(self, theta, alpha):
         t = self.design @ theta

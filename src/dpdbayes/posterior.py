@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from . import mdpde
 from .alpha_likelihood import (
@@ -80,6 +80,8 @@ class GaussianPrior:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("prior covariance must be positive definite") from exc
+        if not np.isfinite(chol).all():
+            raise ValueError("prior covariance must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "_chol", chol)
@@ -96,7 +98,16 @@ class GaussianPrior:
 
     def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
         dev = np.atleast_2d(thetas) - self.mean[None, :]
-        y = solve_triangular(self._chol, dev.T, lower=True)
+        if not np.isfinite(dev).all():
+            raise ValueError("array must not contain infs or NaNs")
+        # The C-ordered lower factor, transposed, is the Fortran-ordered upper
+        # factor: for dim > 1 this is the LAPACK call that
+        # solve_triangular(chol, dev.T, lower=True) makes, without its
+        # per-call wrapper cost (for dim = 1 both reduce to one division).
+        # dev is a temporary, so it is solved in place.
+        y, info = dtrtrs(self._chol.T, dev.T, lower=False, trans=1, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
         return self._log_norm - 0.5 * np.sum(y * y, axis=0)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -316,9 +327,11 @@ def sample(
     """Run random-walk Metropolis on the pseudo-posterior.
 
     The walk starts at the divergence-objective maximizer unless ``start``
-    is given; if the posterior is not finite there, up to 1000 prior draws
-    are tried before giving up.  An acceptance rate outside [0.05, 0.7] is
-    recorded as a warning on the chain, not an exception.
+    is given (a fit that did not converge raises
+    ``mdpde.FitNotConvergedError``); if the posterior is not finite there,
+    up to 1000 prior draws are tried before giving up.  An acceptance rate
+    outside [0.05, 0.7] is recorded as a warning on the chain, not an
+    exception.
     """
     model.validate_data(data)
     rng = np.random.default_rng(config.seed)
@@ -329,7 +342,7 @@ def sample(
 
     def logpost(theta: np.ndarray) -> float:
         lp = prior.log_density(theta)
-        if not np.isfinite(lp):
+        if not math.isfinite(lp):
             return -np.inf
         if scale_index is not None and theta[scale_index] <= 0.0:
             return -np.inf
@@ -338,7 +351,7 @@ def sample(
     if start is not None:
         current = model.validate_theta(np.asarray(start, dtype=float))
     else:
-        current = mdpde.fit(model, data, alpha).theta_hat
+        current = mdpde.fit(model, data, alpha).converged_estimate()
     cur_lp = logpost(current)
     tries = 0
     while not np.isfinite(cur_lp):

@@ -571,10 +571,17 @@ def pseudo_influence(
     centered by its population-posterior mean, then evaluated on the
     parameter grid.  The posterior variance of K (the variance-sensitivity
     ingredient) and a split-half check of the centering are reported per t.
+    A grid row outside the parameter space (``model.in_support``) raises
+    ``ValueError`` before any score is computed.
     """
     theta_grid = np.atleast_2d(np.asarray(theta_grid, dtype=float))
     if theta_grid.shape[1] != model.dim:
         theta_grid = theta_grid.reshape(-1, model.dim)
+    outside = ~model.in_support(theta_grid)
+    if outside.any():
+        raise ValueError(
+            f"theta_grid row {int(np.argmax(outside))} lies outside the parameter space"
+        )
     t_grid = np.asarray(t_grid, dtype=float)
     sample = functional_posterior_sample(model, spec, prior, alpha, mc)
     draw_terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)

@@ -122,6 +122,20 @@ class TestLibraryErrorExitCodes:
         err = capsys.readouterr().err
         assert err == "error: could not find a starting point with finite posterior\n"
 
+    def test_separated_logistic_sample_exits_two(self, tmp_path, capsys):
+        x = np.linspace(-1.0, 1.0, 30)
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.column_stack([(x > 0.0).astype(float), np.ones(30), x]),
+                   delimiter=",")
+        base = ["sample", str(data_path), "--model", "logistic", "--alpha", "0.3",
+                "--seed", "1", "--out", str(tmp_path / "out")]
+        for extra in ([], ["--laplace"]):
+            assert main(base + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: point estimate did not converge")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "chain.csv").exists()
+
     def test_fewer_rows_than_covariates_exits_one(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         data_path.write_text("1.0,1.0,2.0,3.0\n2.0,4.0,5.0,7.0\n")

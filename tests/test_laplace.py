@@ -152,3 +152,11 @@ class TestExpansionDiagnostics:
         )
         assert report.curvature_min_eigenvalue < 1e-4
         assert any("flat direction" in w for w in report.warnings)
+
+    def test_separated_logistic_warns_at_its_own_fit(self):
+        # Without theta_hat the flat fit is used and reported, not refused.
+        x = np.linspace(-1.0, 1.0, 30)
+        design = np.column_stack([np.ones(30), x])
+        data = Dataset((x > 0.0).astype(float), design)
+        report = check_expansion_conditions(Logistic(design), data, 0.3, n_grid=500)
+        assert any("flat direction" in w for w in report.warnings)

@@ -9,6 +9,7 @@ from dpdbayes import (
     Dataset,
     InModel,
     LinearKnownSigma,
+    LinearUnknownSigma,
     Logistic,
     SingularHessianError,
     alpha_likelihood,
@@ -103,6 +104,45 @@ class TestFit:
         data = Dataset(np.arange(10.0), z)
         with pytest.raises(SingularHessianError):
             fit(model, data, 0.0)
+
+    def test_separated_logistic_is_not_converged(self):
+        # The gradient vanishes only at infinity: the stationary point that
+        # Newton reaches is flat in the separating direction.
+        x = np.linspace(-1.0, 1.0, 30)
+        design = np.column_stack([np.ones(30), x])
+        result = fit(Logistic(design), Dataset((x > 0.0).astype(float), design), 0.3)
+        assert result.flat and not result.converged
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_flat_test_ignores_units(self, c, alpha):
+        # The curvature scales with the square of a column's units and with
+        # sigma^-(2+a); neither may make a regular fit look flat.
+        gen = np.random.default_rng(12)
+        z = 1.0 + gen.standard_normal(50)
+        design = np.column_stack([np.ones(50), c * z])
+        responses = 1.0 + 2.0 * z + gen.standard_normal(50)
+        binary = (gen.random(50) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+        cases = [
+            (LinearKnownSigma(design, 1.0), responses),
+            (LinearKnownSigma(design, c), c * responses),
+            (LinearUnknownSigma(design), c * responses),
+            (Logistic(design), binary),
+        ]
+        for model, y in cases:
+            result = fit(model, Dataset(y, design), alpha)
+            assert result.converged and not result.flat, type(model).__name__
+
+    def test_flat_test_ignores_collinear_columns(self):
+        # Columns 1, x, x^2 with x in [0, 100]: full rank but a condition
+        # number near 1e10.
+        gen = np.random.default_rng(13)
+        x = np.linspace(0.0, 100.0, 40)
+        design = np.column_stack([np.ones(40), x, x**2])
+        responses = design @ [1.0, 0.1, 0.001] + gen.standard_normal(40)
+        for model in (LinearKnownSigma(design, 1.0), LinearUnknownSigma(design)):
+            result = fit(model, Dataset(responses, design), 0.3)
+            assert result.converged and not result.flat
 
     def test_nonconvergence_reported_not_raised(self, linear_problem):
         model, data, _ = linear_problem

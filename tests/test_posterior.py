@@ -7,13 +7,17 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import solve_triangular
 
 from dpdbayes import (
     Dataset,
     DegenerateWeightsError,
+    FitNotConvergedError,
     FlatPrior,
     GaussianPrior,
     LinearKnownSigma,
+    LinearUnknownSigma,
+    Logistic,
     SamplerConfig,
     UniformBoxPrior,
     absolute_error_loss,
@@ -21,6 +25,7 @@ from dpdbayes import (
     bayes_estimate,
     huber_loss,
     importance_expectation,
+    laplace_expectation,
     log_posterior_unnorm,
     posterior_mean,
     sample,
@@ -28,6 +33,21 @@ from dpdbayes import (
 )
 from dpdbayes import fit as fit_mdpde
 from dpdbayes.posterior import PosteriorChain
+
+
+class _SolveTriangularPrior(GaussianPrior):
+    """Reference density: the same formula through scipy's ``solve_triangular``."""
+
+    def log_density_batch(self, thetas):
+        dev = np.atleast_2d(thetas) - self.mean[None, :]
+        y = solve_triangular(self._chol, dev.T, lower=True)
+        return self._log_norm - 0.5 * np.sum(y * y, axis=0)
+
+
+def _separated_logistic():
+    x = np.linspace(-1.0, 1.0, 30)
+    design = np.column_stack([np.ones(30), x])
+    return Logistic(design), Dataset((x > 0.0).astype(float), design)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +80,30 @@ class TestPriors:
     def test_gaussian_requires_spd(self):
         with pytest.raises(ValueError):
             GaussianPrior([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 11])
+    def test_gaussian_batch_bit_identical_to_solve_triangular(self, dim):
+        gen = np.random.default_rng(40 + dim)
+        root = gen.standard_normal((dim, dim))
+        prior = GaussianPrior(gen.standard_normal(dim), root @ root.T + 0.5 * np.eye(dim))
+        reference = _SolveTriangularPrior(prior.mean, prior.covariance)
+        for m in (1, 2048):
+            thetas = 3.0 * gen.standard_normal((m, dim))
+            before = thetas.copy()
+            got = prior.log_density_batch(thetas)
+            assert np.array_equal(got, reference.log_density_batch(thetas))
+            assert np.array_equal(thetas, before)
+        assert prior.log_density(thetas[0]) == float(got[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_non_finite_row_raises(self, bad):
+        prior = GaussianPrior([0.0, 1.0], np.eye(2))
+        thetas = np.zeros((3, 2))
+        thetas[1, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            prior.log_density_batch(thetas)
+        with pytest.raises(ValueError, match="prior covariance must be"):
+            GaussianPrior([0.0], [[bad]])
 
     def test_box_prior(self):
         prior = UniformBoxPrior([0.0], [2.0])
@@ -147,6 +191,28 @@ class TestSampler:
         assert np.all(np.abs(robust.draws - 5.0) < 10.0)  # prior mean +- 10 prior sd
         classical = sample(model, data, prior, 0.0, cfg)
         assert posterior_mean(classical).estimate[0] > posterior_mean(robust).estimate[0] + 1.0
+
+    def test_chain_bit_identical_to_solve_triangular_prior(self):
+        gen = np.random.default_rng(44)
+        design = np.column_stack([np.ones(40), gen.standard_normal(40)])
+        model = LinearUnknownSigma(design)
+        data = Dataset(model.sample_responses([1.0, -0.5, 0.8], gen), design)
+        prior = GaussianPrior([0.0, 0.0, 1.0], np.diag([4.0, 4.0, 1.0]))
+        reference = _SolveTriangularPrior(prior.mean, prior.covariance)
+        cfg = SamplerConfig(seed=45, chain_length=2000, burn_in=0)
+        got = sample(model, data, prior, 0.3, cfg)
+        want = sample(model, data, reference, 0.3, cfg)
+        assert np.array_equal(got.draws, want.draws)
+        assert np.array_equal(got.log_post_values, want.log_post_values)
+        assert 0.05 < got.acceptance_rate < 0.7
+
+    def test_flat_fit_refuses_to_start(self):
+        model, data = _separated_logistic()
+        prior = GaussianPrior([0.0, 0.0], 100.0 * np.eye(2))
+        with pytest.raises(FitNotConvergedError, match="did not converge"):
+            sample(model, data, prior, 0.3, SamplerConfig(seed=1, chain_length=100, burn_in=0))
+        with pytest.raises(FitNotConvergedError, match="did not converge"):
+            laplace_expectation(model, data, prior, lambda th: th, 0.3)
 
     def test_thinning_and_length_contract(self, small_location):
         model, data, prior = small_location

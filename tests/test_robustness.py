@@ -324,6 +324,19 @@ class TestPseudoInfluence:
         assert report.s[0] == pytest.approx(result.posterior_variance[0])
 
 
+    def test_grid_outside_parameter_space_rejected(self):
+        model = LinearUnknownSigma(np.ones((20, 1)))
+        prior = GaussianPrior([5.0, 1.0], np.eye(2))
+        theta_grid = np.column_stack([np.full(9, 5.0), np.linspace(-0.5, 1.5, 9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 0 lies outside the parameter space"):
+                pseudo_influence(
+                    model, InModel([5.0, 1.0]), prior, 0.5, theta_grid,
+                    np.array([0.0, 10.0]), McConfig(seed=36, draws=5000),
+                )
+
+
 class TestBreakdown:
     def test_zero_contamination_flat_curve(self, location_setup):
         model, _, prior = location_setup

@@ -210,28 +210,29 @@ def _build_model(config: Config, design: np.ndarray):
     raise CliError(f"unknown model family {family!r}")
 
 
+def _per_coordinate(config: Config, key: str, dim: int) -> np.ndarray:
+    """A prior setting given as one value or one per coordinate."""
+    values = config.get_floats("prior", key)
+    if len(values) == 1:
+        values = values * dim
+    if len(values) != dim:
+        raise CliError(
+            f"prior.{key} needs one value or one per coordinate ({dim}), got {len(values)}"
+        )
+    return np.asarray(values)
+
+
 def _build_prior(config: Config, dim: int):
     kind = config.get("prior", "kind").lower()
     if kind == "flat":
         return posterior.FlatPrior()
-    mean = config.get_floats("prior", "mean")
-    if len(mean) == 1:
-        mean = mean * dim
-    if len(mean) != dim:
-        raise CliError(f"prior.mean must have 1 or {dim} entries")
+    mean = _per_coordinate(config, "mean", dim)
     if kind == "gaussian":
-        sd = config.get_floats("prior", "sd")
-        if len(sd) == 1:
-            sd = sd * dim
-        if len(sd) != dim:
-            raise CliError(f"prior.sd must have 1 or {dim} entries")
-        return posterior.GaussianPrior(np.asarray(mean), np.diag(np.square(sd)))
+        sd = _per_coordinate(config, "sd", dim)
+        return posterior.GaussianPrior(mean, np.diag(np.square(sd)))
     if kind == "box":
-        half = config.get_floats("prior", "halfwidth")
-        if len(half) == 1:
-            half = half * dim
-        mean = np.asarray(mean)
-        return posterior.UniformBoxPrior(mean - np.asarray(half), mean + np.asarray(half))
+        half = _per_coordinate(config, "halfwidth", dim)
+        return posterior.UniformBoxPrior(mean - half, mean + half)
     raise CliError(f"unknown prior kind {kind!r}")
 
 
@@ -294,9 +295,8 @@ def _cmd_sample(args, config: Config) -> int:
     fmt = config.output_format()
     digest = config.digest()
 
-    use_laplace = bool(getattr(args, "laplace", False))
     header = ["coordinate", "estimate", "standard_error", "method", "alpha", "seed", "config"]
-    if use_laplace:
+    if args.laplace:
         estimate = laplace.laplace_expectation(model, data, prior, lambda th: th, alpha)
         rows = [
             [j, float(estimate[j]), 0.0, "laplace-plugin", float(alpha), seed, digest]
@@ -493,15 +493,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="point estimate with sandwich matrices")
     common(p_fit, needs_data=True)
 
-    p_sample = sub.add_parser("sample", help="posterior chain and mean report")
+    p_sample = sub.add_parser("sample", aliases=["erpe"],
+                              help="posterior chain and mean report (alias: erpe)")
     common(p_sample, needs_data=True)
     p_sample.add_argument("--laplace", action="store_true",
                           help="replace the chain mean by the plug-in approximation")
-
-    p_erpe = sub.add_parser("erpe", help="posterior-mean estimate report")
-    common(p_erpe, needs_data=True)
-    p_erpe.add_argument("--laplace", action="store_true",
-                        help="replace the chain mean by the plug-in approximation")
 
     p_are = sub.add_parser("are-table", help="asymptotic relative efficiency table")
     common(p_are)

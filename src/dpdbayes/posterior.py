@@ -286,17 +286,49 @@ def huber_loss(delta: float) -> LossFunction:
     )
 
 
+def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
+    """Add the objective Q to a caller's (m,) log base in place; return it.
+
+    Q is the observed-data objective for a ``Dataset`` and the population
+    objective for a true-distribution spec.  A row whose base is not finite
+    or that lies outside ``model.in_support`` gets -inf and is never passed
+    to the objective.  The base is a log prior, or a log prior minus a
+    proposal density: floating-point addition is not associative, so each
+    caller keeps its own order of terms.
+    """
+    ok = np.isfinite(log_base) & model.in_support(thetas)
+    log_base[~ok] = -np.inf
+    if ok.any():
+        rows = thetas if ok.all() else thetas[ok]
+        if isinstance(data_or_spec, Dataset):
+            q = alpha_likelihood_batch(model, data_or_spec, rows, alpha)
+        else:
+            q = alpha_likelihood_functional_batch(model, data_or_spec, rows, alpha)
+        log_base[ok] += q
+    return log_base
+
+
+def _normalised_weights(log_w: np.ndarray, context: str):
+    """Self-normalised importance weights and their effective sample size
+    (sum w)^2 / sum w^2; ``DegenerateWeightsError``, its message ending in
+    ``context``, when no weight is finite or the size is below 50."""
+    if not np.isfinite(log_w).any():
+        raise DegenerateWeightsError(f"no draw has a finite weight{context}")
+    w = np.exp(log_w - np.max(log_w))
+    total = float(w.sum())
+    ess = total**2 / float(np.sum(w * w))
+    if ess < 50.0:
+        raise DegenerateWeightsError(f"effective sample size {ess:.1f} < 50{context}")
+    return w / total, ess
+
+
 def log_posterior_unnorm(
     model: ModelFamily, data: Dataset, prior, theta, alpha: float
 ) -> float:
     """Unnormalized log pseudo-posterior Q(theta) + log pi(theta)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    lp = prior.log_density(theta)
-    if not np.isfinite(lp):
-        return -np.inf
-    if not model.in_support(theta)[0]:
-        return -np.inf
-    return float(alpha_likelihood_batch(model, data, theta[None, :], alpha)[0]) + lp
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))[None, :]
+    log_prior = prior.log_density_batch(thetas)
+    return float(_log_posterior_rows(model, data, thetas, alpha, log_prior)[0])
 
 
 def _proposal_factor(model, data, alpha, theta_hat, config, warnings):
@@ -340,6 +372,7 @@ def sample(
     x = data.responses
     scale_index = model.scale_index
 
+    # One row per step: through the batch rule _log_posterior_rows a step costs ~40% more.
     def logpost(theta: np.ndarray) -> float:
         lp = prior.log_density(theta)
         if not math.isfinite(lp):
@@ -473,31 +506,8 @@ def importance_expectation(
     rng = np.random.default_rng(seed)
     draws = proposal.sample_batch(rng, m)
     log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
-    valid = np.isfinite(log_w) & model.in_support(draws)
-    if isinstance(data_or_spec, Dataset):
-        q = np.where(
-            valid,
-            alpha_likelihood_batch(model, data_or_spec, np.where(valid[:, None], draws, 1.0), alpha),
-            -np.inf,
-        )
-    else:
-        q = np.where(
-            valid,
-            alpha_likelihood_functional_batch(
-                model, data_or_spec, np.where(valid[:, None], draws, 1.0), alpha
-            ),
-            -np.inf,
-        )
-    log_w = np.where(valid, log_w + q, -np.inf)
-    log_w -= np.max(log_w)
-    w = np.exp(log_w)
-    total = float(w.sum())
-    ess = total**2 / float(np.sum(w * w))
-    if ess < 50.0:
-        raise DegenerateWeightsError(
-            f"effective sample size {ess:.1f} < 50; proposal does not cover the posterior"
-        )
-    w_norm = w / total
+    _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
+    w_norm, ess = _normalised_weights(log_w, "; proposal does not cover the posterior")
     values = np.asarray(h(draws), dtype=float)
     if values.ndim == 1:
         values = values[:, None]

@@ -41,6 +41,7 @@ from .alpha_likelihood import (
 )
 from .models import LinearKnownSigma, ModelFamily
 from .posterior import DegenerateWeightsError, GaussianPrior, LossFunction
+from .posterior import _log_posterior_rows, _normalised_weights
 
 __all__ = [
     "OneDirection",
@@ -299,14 +300,7 @@ def _log_functional_posterior(model, spec, prior, alpha):
 
     def fn_batch(thetas):
         thetas = np.atleast_2d(thetas)
-        inside = model.in_support(thetas)
-        if not inside.all():
-            out = np.full(thetas.shape[0], -np.inf)
-            if inside.any():
-                out[inside] = fn_batch(thetas[inside])
-            return out
-        vals = alpha_likelihood_functional_batch(model, spec, thetas, alpha)
-        return vals + prior.log_density_batch(thetas)
+        return _log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))
 
     return fn_batch
 
@@ -363,21 +357,15 @@ def functional_posterior_sample(
         if not inside.all():
             draws = draws[inside]
         log_w = fn_batch(draws) - proposal.log_density_batch(draws)
-        log_w -= np.max(log_w)
-        w = np.exp(log_w)
-        total = float(w.sum())
-        ess = total**2 / float(np.sum(w * w))
-        if ess >= 50.0:
-            return FunctionalPosteriorSample(
-                draws=draws,
-                weights=w / total,
-                effective_sample_size=float(ess),
-                center=center,
-            )
-        last_error = DegenerateWeightsError(
-            f"effective sample size {ess:.1f} < 50 with inflation {inflation:g}"
+        try:
+            weights, ess = _normalised_weights(log_w, f" with inflation {inflation:g}")
+        except DegenerateWeightsError as exc:
+            last_error = exc
+            inflation *= 2.0
+            continue
+        return FunctionalPosteriorSample(
+            draws=draws, weights=weights, effective_sample_size=float(ess), center=center
         )
-        inflation *= 2.0
     raise last_error
 
 

@@ -136,6 +136,24 @@ class TestLibraryErrorExitCodes:
             assert err.count("\n") == 1
         assert not (tmp_path / "out" / "chain.csv").exists()
 
+    def test_box_halfwidth_per_coordinate_exits_one(self, tmp_path, capsys):
+        gen = np.random.default_rng(9)
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.column_stack([2.0 + gen.standard_normal(30), np.ones(30)]),
+                   delimiter=",")
+        for halfwidth, given in (("1,50", 2), ("1,2,3", 3)):
+            args = [
+                "sample", str(data_path), "--seed", "1", "--out", str(tmp_path / "out"),
+                "--set", "prior.kind=box", "--set", "prior.mean=2",
+                "--set", f"prior.halfwidth={halfwidth}",
+            ]
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: prior.halfwidth needs one value or one per coordinate (1), got {given}\n"
+            )
+        assert not (tmp_path / "out" / "chain.csv").exists()
+
     def test_fewer_rows_than_covariates_exits_one(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         data_path.write_text("1.0,1.0,2.0,3.0\n2.0,4.0,5.0,7.0\n")

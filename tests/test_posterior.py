@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import solve_triangular
 
@@ -22,6 +25,7 @@ from dpdbayes import (
     UniformBoxPrior,
     absolute_error_loss,
     alpha_likelihood,
+    alpha_likelihood_batch,
     bayes_estimate,
     huber_loss,
     importance_expectation,
@@ -32,7 +36,7 @@ from dpdbayes import (
     squared_error_loss,
 )
 from dpdbayes import fit as fit_mdpde
-from dpdbayes.posterior import PosteriorChain
+from dpdbayes.posterior import PosteriorChain, _log_posterior_rows
 
 
 class _SolveTriangularPrior(GaussianPrior):
@@ -48,6 +52,25 @@ def _separated_logistic():
     x = np.linspace(-1.0, 1.0, 30)
     design = np.column_stack([np.ones(30), x])
     return Logistic(design), Dataset((x > 0.0).astype(float), design)
+
+
+def _reference_importance(model, data, prior, alpha, proposal, m, seed):
+    """Importance estimate, SE, ESS and draws in the order of terms written
+    before the shared log-posterior rule: (log prior - log proposal) + Q,
+    with Q evaluated on every draw and masked afterwards."""
+    draws = proposal.sample_batch(np.random.default_rng(seed), m)
+    log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
+    valid = np.isfinite(log_w) & model.in_support(draws)
+    q = alpha_likelihood_batch(model, data, np.where(valid[:, None], draws, 1.0), alpha)
+    log_w = np.where(valid, log_w + np.where(valid, q, -np.inf), -np.inf)
+    log_w -= np.max(log_w)
+    w = np.exp(log_w)
+    total = float(w.sum())
+    ess = total**2 / float(np.sum(w * w))
+    w_norm = w / total
+    est = w_norm @ draws
+    se = np.sqrt(np.sum((w_norm[:, None] * (draws - est[None, :])) ** 2, axis=0))
+    return est, se, ess, draws
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +167,38 @@ class TestLogPosterior:
         z, _ = integrate.quad(density, 0.0, 10.0, limit=200)
         ratio_norm = (density(t2[0]) / z) / (density(t1[0]) / z)
         assert math.exp(lp2 - lp1) == pytest.approx(ratio_norm, abs=1e-8)
+
+
+
+# Coordinates inside and outside the box [-3, 3]; a scale stays clear of 0+,
+# where the objective under- and overflows, but is often <= 0.
+_COORD = st.floats(-4.0, 4.0)
+_SCALE = st.one_of(st.floats(-4.0, 0.0), st.floats(0.2, 4.0))
+
+
+@pytest.mark.parametrize("kind", ["known", "unknown", "logistic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([0.0, 0.3, 0.8]))
+def test_log_posterior_rows_match_row_by_row(
+    kind, data, alpha, linear_problem, unknown_sigma_problem, logistic_problem
+):
+    model, dataset, _ = {
+        "known": linear_problem, "unknown": unknown_sigma_problem, "logistic": logistic_problem
+    }[kind]
+    prior = UniformBoxPrior(-3.0 * np.ones(model.dim), 3.0 * np.ones(model.dim))
+    m = data.draw(st.integers(1, 12), label="m")
+    cols = [st.lists(_COORD, min_size=m, max_size=m) for _ in range(model.dim)]
+    if model.scale_index is not None:
+        cols[model.scale_index] = st.lists(_SCALE, min_size=m, max_size=m)
+    thetas = np.column_stack([data.draw(c) for c in cols])
+    outside = ~(np.all(np.abs(thetas) <= 3.0, axis=1) & model.in_support(thetas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _log_posterior_rows(model, dataset, thetas, alpha, prior.log_density_batch(thetas))
+        single = [log_posterior_unnorm(model, dataset, prior, th, alpha) for th in thetas]
+    assert np.array_equal(rows == -np.inf, outside)
+    assert np.all(np.isfinite(rows[~outside]))
+    np.testing.assert_allclose(rows, single, rtol=1e-12)
 
 
 class TestSampler:
@@ -383,6 +438,38 @@ class TestImportanceSampling:
         proposal = GaussianPrior([20.0], [[4.0]])
         with pytest.raises(DegenerateWeightsError):
             importance_expectation(model, data, prior, 0.0, lambda th: th, proposal, 1500, 5)
+
+    def test_known_sigma_alpha_zero_keeps_the_order_of_terms(self, small_location):
+        model, data, prior = small_location
+        proposal = GaussianPrior([5.0], [[0.05]])
+        res = importance_expectation(model, data, prior, 0.0, lambda th: th, proposal, 20_000, 1)
+        est, se, ess, _ = _reference_importance(model, data, prior, 0.0, proposal, 20_000, 1)
+        assert np.array_equal(res.estimate, est)
+        assert np.array_equal(res.standard_error, se)
+        assert res.effective_sample_size == ess
+
+    def test_scale_outside_support_keeps_the_order_of_terms(self, unknown_sigma_problem):
+        model, data, theta = unknown_sigma_problem
+        prior = GaussianPrior.isotropic([5.0, 2.0, 1.0], 10.0)
+        proposal = GaussianPrior(theta, np.diag([0.05, 0.05, 0.6]))
+        res = importance_expectation(model, data, prior, 0.5, lambda th: th, proposal, 20_000, 8)
+        est, se, ess, draws = _reference_importance(model, data, prior, 0.5, proposal, 20_000, 8)
+        assert np.count_nonzero(draws[:, 2] <= 0.0) > 0
+        assert np.array_equal(res.estimate, est)
+        assert np.array_equal(res.standard_error, se)
+        assert res.effective_sample_size == ess
+
+    def test_no_finite_weight_raises_without_warning(self):
+        # Every draw of the proposal lies outside the box prior, so every log
+        # weight is -inf; the max shift would give NaN weights.
+        model = LinearKnownSigma(np.ones((20, 1)), 1.0)
+        data = Dataset(np.random.default_rng(1).standard_normal(20), np.ones((20, 1)))
+        prior = UniformBoxPrior([50.0], [51.0])
+        proposal = GaussianPrior([0.0], [[0.05]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateWeightsError, match="no draw has a finite weight"):
+                importance_expectation(model, data, prior, 0.3, lambda th: th, proposal, 2000, 1)
 
     def test_minimum_draw_count(self, small_location):
         model, data, prior = small_location

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood
-from .models import Dataset, ModelFamily
+from .models import Dataset, ModelFamily, check_design_conditions
 
 __all__ = [
     "MdpdeResult",
@@ -50,11 +50,14 @@ class SingularHessianError(RuntimeError):
 class FitNotConvergedError(RuntimeError):
     """A caller needs a converged point estimate and ``fit`` returned
     ``converged=False`` (iteration cap, stalled line search, or a flat
-    optimum such as separated logistic data)."""
+    optimum such as separated logistic data or a start far from the data)."""
 
     def __init__(self, result: MdpdeResult) -> None:
         if result.flat:
-            reason = "the objective is flat in some direction at the optimum, as on separated data"
+            reason = (
+                "the objective is flat in some direction at the optimum, as on separated "
+                "data or from a start so far from the data that every density vanished"
+            )
         else:
             reason = (
                 f"gradient norm {result.gradient_norm:.3g} after {result.iterations} iterations"
@@ -199,8 +202,9 @@ def fit(
             returns ``converged=False`` with diagnostics rather than raising.
 
     A stationary point whose curvature has a flat direction (a vanishing
-    gradient at infinity, as on separated logistic data) also returns
-    ``converged=False``, with ``flat=True``.
+    gradient at infinity, as on separated logistic data, or a plateau where
+    every f_i^a has vanished, reached from a start far from the data) also
+    returns ``converged=False``, with ``flat=True``.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -229,12 +233,17 @@ def fit(
     assert result is not None
     curvature = -alpha_likelihood(model, data, theta, alpha, derivatives=True).hessian
     # The same Cholesky test as laplace_integral's, so a converged fit expands.
+    # A full-rank design fails it only where the start was far from the data
+    # and every f_i^a vanished: a flat stationary point, not a bad design.
     if result.converged and not _is_pd(curvature):
-        raise SingularHessianError(
-            "curvature at the optimum is not positive definite; "
-            "check the design for rank deficiency"
-        )
-    flat = result.converged and _flat_direction(model, theta, alpha, curvature / model.n)
+        if not check_design_conditions(model.design).full_column_rank:
+            raise SingularHessianError(
+                "curvature at the optimum is not positive definite; "
+                "check the design for rank deficiency"
+            )
+        flat = True
+    else:
+        flat = result.converged and _flat_direction(model, theta, alpha, curvature / model.n)
     return MdpdeResult(
         theta_hat=theta,
         q_value=result.q_value,

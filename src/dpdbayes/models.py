@@ -646,6 +646,28 @@ class LinearUnknownSigma(LinearKnownSigma):
 # ---------------------------------------------------------------------------
 
 
+def _softplus_tail(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log1p(exp(-|t|)), the part that softplus(t) and softplus(-t) share,
+    written to ``out`` (a new array when None)."""
+    tail = np.abs(t, out=out)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return tail
+
+
+def _softplus(t: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) as max(t, 0) + log1p(exp(-|t|)), finite for finite t.
+
+    numpy's vectorised exp and log1p do the work, where logaddexp(0, t)
+    calls libm once per element.  Against a 400-digit reference the result
+    is within 1 ulp; the two forms may round a point differently.
+    """
+    out = _softplus_tail(t)
+    out += np.maximum(t, 0.0)
+    return out
+
+
 class Logistic(ModelFamily):
     """Fixed-design logistic regression: x_i ~ Bernoulli(expit(z_i'beta)).
 
@@ -666,9 +688,11 @@ class Logistic(ModelFamily):
 
     @staticmethod
     def _log_p(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # log P(X=1), log P(X=0) given linear predictor t
-        log_p1 = -np.logaddexp(0.0, -t)
-        log_p0 = -np.logaddexp(0.0, t)
+        # log P(X=1) = -softplus(-t), log P(X=0) = -softplus(t), one shared tail;
+        # t - softplus(t) would cancel for large t.
+        tail = _softplus_tail(t)
+        log_p1 = -(np.maximum(-t, 0.0) + tail)
+        log_p0 = -(np.maximum(t, 0.0) + tail)
         return log_p1, log_p0
 
     def _log_p_rows(self, thetas, rows):
@@ -685,7 +709,8 @@ class Logistic(ModelFamily):
         if not np.all((pts == 0.0) | (pts == 1.0)):
             raise ValueError("logistic observations must be 0 or 1")
         t = np.atleast_2d(np.asarray(thetas, dtype=float)) @ self.design[rows].T
-        return pts * t - np.logaddexp(0.0, t)
+        # x t - softplus(t), with x t - max(t, 0) first: exact for x in {0, 1}
+        return pts * t - np.maximum(t, 0.0) - _softplus_tail(t)
 
     def log_power_integral_batch(self, thetas, alpha, rows=slice(None)):
         log_p1, log_p0 = self._log_p_rows(thetas, rows)
@@ -708,7 +733,7 @@ class Logistic(ModelFamily):
         pi = np.exp(log_p1)
         q1 = np.exp((1.0 + alpha) * log_p1)
         q0 = np.exp((1.0 + alpha) * log_p0)
-        px_a = np.exp(alpha * (x * t - np.logaddexp(0.0, t)))
+        px_a = np.exp(alpha * (x * log_p1 + (1.0 - x) * log_p0))  # f^a(x), no t - softplus(t)
         # first and second derivatives of V_i in the linear predictor
         dv = (1.0 + alpha) * (
             q1 * (1.0 - pi) + q0 * (0.0 - pi) - px_a * (x - pi)
@@ -731,28 +756,36 @@ class Logistic(ModelFamily):
         return z.T @ (d2v[:, None] * z)
 
     def summed_q_value_batch(self, x, thetas, alpha):
-        # Hot path for samplers; three large scratch arrays, updated in place.
+        # Hot path for samplers; four (m, n) scratch arrays, updated in place,
+        # and every sum is row-local.  x t - max(t, 0) is exact for x in {0, 1},
+        # so the log terms equal _log_p's log P(X=x) and nothing cancels.
+        # The arrays are one allocation: as four, malloc gave them back to the
+        # system after each row block of alpha_likelihood_batch and faulted
+        # them in again at the next, which doubled the time of a batch.
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         x = np.asarray(x, dtype=float)
-        t = thetas @ self.design.T  # (m, n)
-        lae = np.logaddexp(0.0, t)
+        t, tail, pos, ll = np.empty((4, thetas.shape[0], self.n))
+        np.matmul(thetas, self.design.T, out=t)
+        _softplus_tail(t, out=tail)
+        np.maximum(t, 0.0, out=pos)
+        np.multiply(t, x[None, :], out=ll)
+        ll -= pos
+        ll -= tail
         if alpha == 0.0:
-            total = t @ x  # sum_i x_i t_i per row
-            total -= lae.sum(axis=1)
-            return total - self.n
-        ll = np.multiply(t, x[None, :])
-        ll -= lae
+            return ll.sum(axis=1) - self.n
         ll *= alpha
         np.expm1(ll, out=ll)
         total = ll.sum(axis=1)
         total /= alpha
-        # integral term: exp((1+a)(t - lae)) + exp(-(1+a) lae), reusing t, lae
-        t -= lae
+        # integral term: exp((1+a) log P(X=1)) + exp((1+a) log P(X=0)), in t, pos
+        t -= pos
+        t -= tail
         t *= 1.0 + alpha
         np.exp(t, out=t)
-        lae *= -(1.0 + alpha)
-        np.exp(lae, out=lae)
-        t += lae
+        pos += tail
+        pos *= -(1.0 + alpha)
+        np.exp(pos, out=pos)
+        t += pos
         total -= t.sum(axis=1) / (1.0 + alpha)
         return total
 
@@ -764,7 +797,7 @@ class Logistic(ModelFamily):
     def in_model_psi_omega(self, theta, alpha):
         t = self.design @ theta
         # psi weight: e^t (e^{at} + e^t) / (1+e^t)^{3+a}, in log space
-        log_base = np.logaddexp(0.0, t)
+        log_base = _softplus(t)
         log_w_psi = t + np.logaddexp(alpha * t, t) - (3.0 + alpha) * log_base
         log_w_omega = t + 2.0 * np.logaddexp(alpha * t, t) - (4.0 + 2.0 * alpha) * log_base
         w_psi = np.exp(log_w_psi)

@@ -103,7 +103,8 @@ class GaussianPrior:
         # The C-ordered lower factor, transposed, is the Fortran-ordered upper
         # factor: for dim > 1 this is the LAPACK call that
         # solve_triangular(chol, dev.T, lower=True) makes, without its
-        # per-call wrapper cost (for dim = 1 both reduce to one division).
+        # per-call wrapper cost (for dim = 1 both multiply by the reciprocal
+        # of the 1x1 factor, which differs from a division in the last bit).
         # dev is a temporary, so it is solved in place.
         y, info = dtrtrs(self._chol.T, dev.T, lower=False, trans=1, overwrite_b=True)
         if info != 0:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdbayes import (
     Contaminated,
     Dataset,
     InModel,
     LinearKnownSigma,
+    LinearUnknownSigma,
     Logistic,
     alpha_likelihood,
     alpha_likelihood_batch,
@@ -19,6 +24,7 @@ from dpdbayes import (
     alpha_likelihood_functional_batch,
     dpd_loss,
 )
+from dpdbayes.alpha_likelihood import _BLOCK_VALUES
 
 INV_SQRT_2PI = (2.0 * math.pi) ** -0.5
 
@@ -95,6 +101,91 @@ class TestObjectiveValue:
         model, data, theta = unknown_sigma_problem
         state = alpha_likelihood(model, data, theta, 0.3, derivatives=True)
         assert np.allclose(state.hessian, state.hessian.T, atol=1e-10)
+
+
+@functools.cache
+def _block_problem(kind: str, n: int):
+    """(model, data, theta) with n observations and three covariates."""
+    gen = np.random.default_rng(n)
+    design = np.column_stack([np.ones(n), gen.standard_normal((n, 2))])
+    if kind == "known":
+        model, theta = LinearKnownSigma(design, 1.3), np.array([0.5, 1.0, -1.0])
+    elif kind == "unknown":
+        model, theta = LinearUnknownSigma(design), np.array([0.5, 1.0, -1.0, 1.3])
+    else:
+        model, theta = Logistic(design), np.array([0.2, 1.0, -1.0])
+    return model, Dataset(model.sample_responses(theta, gen), design), theta
+
+
+# n = 2^16 / 8 gives blocks of 8 rows, n = 3000 blocks of 21.
+@pytest.mark.parametrize("kind", ["known", "unknown", "logistic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([_BLOCK_VALUES // 8, 3000]),
+       alpha=st.sampled_from([0.0, 0.3]))
+def test_row_blocks_do_not_change_values(kind, data, n, alpha):
+    model, dataset, theta = _block_problem(kind, n)
+    step = _BLOCK_VALUES // n
+    one_row_tails = [k * step + 1 for k in (0, 1, 2, 3)]
+    m = data.draw(st.one_of(st.integers(1, 3 * step + 1), st.sampled_from(one_row_tails)), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    thetas = theta + 0.2 * np.random.default_rng(seed).standard_normal((m, theta.size))
+    if model.scale_index is not None:
+        thetas[:, model.scale_index] = np.abs(thetas[:, model.scale_index])
+    got = alpha_likelihood_batch(model, dataset, thetas, alpha)
+    # Blocks of ``step`` rows; a one-row tail joins the block before it.
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    x = dataset.responses
+    blocks = [model.summed_q_value_batch(x, thetas[a:b], alpha)
+              for a, b in zip(starts, starts[1:] + [m])]
+    assert np.array_equal(got, np.concatenate(blocks))
+    # gemm rows do not depend on the rows beside them and every kernel sum is
+    # row-local, so the blocks give the unblocked values too.
+    assert np.array_equal(got, model.summed_q_value_batch(x, thetas, alpha))
+
+
+class _BlockLog(Logistic):
+    """Logistic family that records the rows of each kernel call."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.calls = []
+
+    def summed_q_value_batch(self, x, thetas, alpha):
+        self.calls.append(len(thetas))
+        return super().summed_q_value_batch(x, thetas, alpha)
+
+
+def test_no_block_has_one_row_unless_m_is_one():
+    n = 3000
+    step = _BLOCK_VALUES // n
+    model, data, theta = _block_problem("logistic", n)
+    logged = _BlockLog(model.design)
+    for m in [1, 2, step, step + 1, step + 2, 2 * step + 1, 3 * step, 3 * step + 1]:
+        logged.calls.clear()
+        alpha_likelihood_batch(logged, data, np.tile(theta, (m, 1)), 0.3)
+        assert sum(logged.calls) == m
+        assert all(2 <= k <= step + 1 for k in logged.calls) or logged.calls == [1] == [m]
+
+
+def test_logistic_batch_peak_memory_is_a_few_blocks():
+    # Unblocked, one (2048, 2000) float64 array alone is 31 MiB.
+    gen = np.random.default_rng(16)
+    n, m = 2000, 2048
+    design = np.column_stack([np.ones(n), gen.standard_normal((n, 9))])
+    model = Logistic(design)
+    beta = 0.3 * gen.standard_normal(10)
+    data = Dataset(model.sample_responses(beta, gen), design)
+    thetas = beta + 0.05 * gen.standard_normal((m, 10))
+    for alpha in (0.0, 0.5):
+        tracemalloc.start()
+        try:
+            alpha_likelihood_batch(model, data, thetas, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB at a = {alpha}"
 
 
 class TestObjectiveDerivatives:

@@ -7,6 +7,7 @@ import pytest
 
 from dpdbayes import (
     Dataset,
+    FitNotConvergedError,
     InModel,
     LinearKnownSigma,
     LinearUnknownSigma,
@@ -112,6 +113,17 @@ class TestFit:
         design = np.column_stack([np.ones(30), x])
         result = fit(Logistic(design), Dataset((x > 0.0).astype(float), design), 0.3)
         assert result.flat and not result.converged
+
+    def test_start_far_from_the_data_is_flat_not_singular(self):
+        # From 40 every f_i^a has vanished: the gradient passes its test on a
+        # plateau whose curvature is not positive definite, although the
+        # design has full rank.
+        design = np.ones((20, 1))
+        data = Dataset(np.random.default_rng(14).standard_normal(20), design)
+        result = fit(LinearKnownSigma(design, 1.0), data, 0.5, init=[40.0])
+        assert result.flat and not result.converged
+        with pytest.raises(FitNotConvergedError, match="start so far from the data"):
+            result.converged_estimate()
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])

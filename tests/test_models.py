@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -457,3 +459,56 @@ class TestQuadratureDerivatives:
         model = _GaussianViaQuadrature(np.array([[1.0], [1.0]]))
         with pytest.raises(ValueError, match="index 1"):
             model.integral_power(1, [1e3], 0.5)
+
+
+def _ulp_error(value: float, exact: Decimal) -> float:
+    """|value - exact| in units in the last place of ``exact`` as a double."""
+    return float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact))))
+
+
+class TestLogisticSoftplus:
+    def test_softplus_within_one_ulp_of_a_400_digit_reference(self):
+        from dpdbayes.models import _softplus
+
+        tiny = math.ulp(0.0)
+        points = np.concatenate([
+            np.random.default_rng(15).uniform(-745.0, 745.0, 300),
+            np.linspace(-40.0, 40.0, 81),
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308, 745.0, -745.0],
+        ])
+        got = _softplus(points)
+        libm = np.logaddexp(0.0, points)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            exact = [(Decimal(1) + Decimal(float(t)).exp()).ln() for t in points]
+            errors = [_ulp_error(g, e) for g, e in zip(got, exact)]
+            libm_errors = [_ulp_error(g, e) for g, e in zip(libm, exact)]
+        # Either form may round a point the other way, so neither worst case
+        # bounds the other; each point is at most one rounding step apart.
+        assert max(errors) <= 1.0
+        assert all(e <= e_libm + 1.0 for e, e_libm in zip(errors, libm_errors))
+
+    def test_kernels_stay_finite_at_extreme_linear_predictors(self):
+        # Linear predictors +-700, +-750, +-1000 and +-1e5, for both labels.
+        scale = np.array([700.0, 750.0, 1000.0, 1e5])
+        design = np.column_stack([np.ones(8), np.concatenate([scale, -scale]) - 1.0])
+        model = Logistic(design)
+        beta = np.array([1.0, 1.0])
+        betas = np.array([[1.0, 1.0], [-2.0, 3.0]])
+        x = np.tile([0.0, 1.0], 4)
+        outputs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outputs.append(model.log_density_batch(x, betas))
+            outputs.append(model.log_power_integral_batch(betas, 0.5))
+            outputs.append(model.log_power_expectation_batch(betas, 0.5, beta))
+            outputs.append(model.log_density_expectation_batch(betas, beta))
+            outputs.append(model.success_probabilities(beta))
+            outputs.extend(model.in_model_psi_omega(beta, 0.5))
+            for alpha in (0.0, 0.5):
+                outputs.append(model.summed_q_value_batch(x, betas, alpha))
+                outputs.append(model.loss_grad_sum(x, beta, alpha))
+                outputs.append(model.loss_hess_sum(x, beta, alpha))
+        assert np.all(np.abs(design @ beta) >= 700.0)
+        for out in outputs:
+            assert np.all(np.isfinite(out))

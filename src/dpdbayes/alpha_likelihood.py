@@ -41,6 +41,12 @@ __all__ = [
 #: block: 2^16 float64 values, 512 KiB, so a kernel's few arrays fit a
 #: 2 MiB per-core L2 cache.
 _BLOCK_VALUES = 1 << 16
+#: The same for ``alpha_likelihood_functional_batch``, whose kernels make
+#: several temporaries per block: 2^14 values, 128 KiB.  With 512 KiB
+#: temporaries malloc gave them back to the system after every block and
+#: faulted them in again at the next: 4,410 minor page faults and 20 ms per
+#: contaminated batch of 20000 rows at n = 20, against none and 10 ms.
+_FUNCTIONAL_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,32 +126,42 @@ def alpha_likelihood(
     return AlphaLikelihoodValue(value=value, alpha=alpha, gradient=grad, hessian=hess)
 
 
-def alpha_likelihood_batch(
-    model: ModelFamily, data: Dataset, thetas: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Objective values for many parameter points at once, as an (m,) array.
+def _in_row_blocks(kernel, thetas: np.ndarray, n: int, values: int) -> np.ndarray:
+    """(m,) values of ``kernel`` (parameter rows -> one value per row) over
+    blocks of rows whose (rows, n) scratch arrays hold about ``values``
+    values each, so they stay in cache.
 
-    The kernel runs over blocks of parameter rows whose (rows, n) scratch
-    arrays hold about ``_BLOCK_VALUES`` values each, so they stay in cache.
     No block has one row unless m = 1: a one-row product goes through gemv,
     whose rows differ from gemm rows in the low bits, so a one-row tail
     joins the block before it.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    model.validate_data(data)
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     m = thetas.shape[0]
-    step = max(2, _BLOCK_VALUES // model.n)
+    step = max(2, values // n)
     if m <= step + 1:
-        return model.summed_q_value_batch(data.responses, thetas, alpha)
+        return kernel(thetas)
     starts = list(range(0, m, step))
     if m - starts[-1] == 1:
         starts.pop()
     out = np.empty(m)
     for start, stop in zip(starts, starts[1:] + [m]):
-        out[start:stop] = model.summed_q_value_batch(data.responses, thetas[start:stop], alpha)
+        out[start:stop] = kernel(thetas[start:stop])
     return out
+
+
+def alpha_likelihood_batch(
+    model: ModelFamily, data: Dataset, thetas: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Objective values for many parameter points at once, as an (m,) array,
+    computed in row blocks (``_in_row_blocks``)."""
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
+    model.validate_data(data)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+
+    def kernel(block):
+        return model.summed_q_value_batch(data.responses, block, alpha)
+
+    return _in_row_blocks(kernel, thetas, model.n, _BLOCK_VALUES)
 
 
 def alpha_likelihood_functional(
@@ -172,25 +188,30 @@ def alpha_likelihood_functional(
 def alpha_likelihood_functional_batch(
     model: ModelFamily, spec, thetas: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Vectorized population objective over rows of ``thetas``."""
+    """Vectorized population objective over rows of ``thetas``, computed in
+    row blocks (``_in_row_blocks``)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not isinstance(spec, (InModel, Contaminated)):
         raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
     contaminated = isinstance(spec, Contaminated) and spec.eps > 0.0
-    if alpha == 0.0:
-        eld = model.log_density_expectation_batch(thetas, spec.theta_g)  # (m, n)
+
+    def kernel(block):
+        if alpha == 0.0:
+            eld = model.log_density_expectation_batch(block, spec.theta_g)  # (m, n)
+            if contaminated:
+                log_f_t = model.log_density_batch(spec.points, block)
+                eld = (1.0 - spec.eps) * eld + spec.eps * log_f_t
+            return np.sum(eld - 1.0, axis=1)
+        log_m = model.log_power_expectation_batch(block, alpha, spec.theta_g)  # (m, n)
         if contaminated:
-            log_f_t = model.log_density_batch(spec.points, thetas)
-            eld = (1.0 - spec.eps) * eld + spec.eps * log_f_t
-        return np.sum(eld - 1.0, axis=1)
-    log_m = model.log_power_expectation_batch(thetas, alpha, spec.theta_g)  # (m, n)
-    if contaminated:
-        log_f_t = model.log_density_batch(spec.points, thetas)
-        # (1/a)[(1-eps)(e^m - 1) + eps(e^{a log f(t)} - 1)], stable near a = 0
-        data_part = (
-            (1.0 - spec.eps) * np.expm1(log_m) + spec.eps * np.expm1(alpha * log_f_t)
-        ) / alpha
-    else:
-        data_part = np.expm1(log_m) / alpha
-    ints = model.log_power_integral_batch(thetas, alpha)
-    return np.sum(data_part - np.exp(ints) / (1.0 + alpha), axis=1)
+            log_f_t = model.log_density_batch(spec.points, block)
+            # (1/a)[(1-eps)(e^m - 1) + eps(e^{a log f(t)} - 1)], stable near a = 0
+            data_part = (
+                (1.0 - spec.eps) * np.expm1(log_m) + spec.eps * np.expm1(alpha * log_f_t)
+            ) / alpha
+        else:
+            data_part = np.expm1(log_m) / alpha
+        ints = model.log_power_integral_batch(block, alpha)
+        return np.sum(data_part - np.exp(ints) / (1.0 + alpha), axis=1)
+
+    return _in_row_blocks(kernel, thetas, model.n, _FUNCTIONAL_BLOCK_VALUES)

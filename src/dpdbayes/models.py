@@ -20,10 +20,12 @@ the derivative kernels take one parameter point and sum over the block.
 The full-data single-parameter methods (``*_terms``, ``summed_q_value``) and
 the per-index ones (``log_density``, ``density_power``, ``integral_power``,
 ``dpd_loss*``) are slices of those kernels, defined once on ``ModelFamily``.
-A family may override ``summed_q_value_batch``, the samplers' hot path,
-with an in-place kernel.  What the other layers need to know about a family
-is stated by five hooks rather than by type checks: ``scale_index``,
-``in_support``, ``default_init``, ``scale`` and ``curvature_unit``.
+A family may override the hot paths with in-place kernels:
+``summed_q_value_batch`` for the samplers, and ``contamination_terms`` with
+``summed_contamination_scores`` for the robustness grids.  What the other
+layers need to know about a family is stated by five hooks rather than by
+type checks: ``scale_index``, ``in_support``, ``default_init``, ``scale``
+and ``curvature_unit``.
 
 The two Gaussian families share one kernel set: ``LinearKnownSigma`` pins
 the scale to its ``sigma`` and ``LinearUnknownSigma`` reads it from the last
@@ -354,6 +356,45 @@ class ModelFamily(ABC):
         ints = np.exp(self.log_power_integral_batch(thetas, alpha))
         return np.sum(np.expm1(alpha * ll) / alpha - ints / (1.0 + alpha), axis=1)
 
+    def contamination_terms(self, thetas, alpha: float, theta_true, rows=slice(None)):
+        """The terms of the contamination scores of parameter rows that do not
+        depend on the contamination point, for ``summed_contamination_scores``.
+
+        The scores, with G_i in-model at theta_true, are
+
+            k_i(theta, t_i) = [f_i^a(t_i) - integral f_i^a dG_i] / a     (a > 0)
+            k_i(theta, t_i) = log f_i(t_i) - integral log f_i dG_i       (a = 0).
+
+        The result is opaque to callers.  Here it holds the expectation term
+        (log integral f_i^a dG_i, or integral log f_i dG_i at a = 0) and its
+        exponential, so each point costs one ``log_density_batch`` call and
+        in-place updates of its result.  A family with a closed form may
+        override both methods with cheaper kernels giving the same values.
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if alpha == 0.0:
+            log_m = self.log_density_expectation_batch(thetas, theta_true, rows)
+            return thetas, rows, alpha, log_m, None
+        log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
+        return thetas, rows, alpha, log_m, np.exp(log_m)
+
+    def summed_contamination_scores(self, terms, points) -> np.ndarray:
+        """(m,) sums of k_i(theta, t_i) over the block of prepared ``terms``
+        (from ``contamination_terms``); ``points`` holds one value per index
+        of the block or a scalar shared by all."""
+        thetas, rows, alpha, log_m, m = terms
+        work = self.log_density_batch(points, thetas, rows)
+        if alpha == 0.0:
+            work -= log_m
+        else:
+            # (e^{a log f(t)} - e^{log m})/a through expm1, stable at small a
+            work *= alpha
+            work -= log_m
+            np.expm1(work, out=work)
+            work *= m
+            work /= alpha
+        return work.sum(axis=1)
+
     # ---- slices of the kernels -------------------------------------------
 
     def summed_q_value(self, x: np.ndarray, theta: np.ndarray, alpha: float) -> float:
@@ -530,6 +571,36 @@ class LinearKnownSigma(ModelFamily):
     def log_density_expectation_batch(self, thetas, theta_true, rows=slice(None)):
         delta, sigma, sigma_g = self._shift(thetas, theta_true, rows)
         return _log_norm(sigma) - (sigma_g**2 + delta * delta) / (2.0 * sigma**2)
+
+    def contamination_terms(self, thetas, alpha, theta_true, rows=slice(None)):
+        # a log f(t) - log m = (t - mu)^2 (-a/(2 sigma^2)) + c with mu = z'beta
+        # and the offset c = a log_norm - log m (log_norm - E log f at a = 0),
+        # so three t-free (m, k) arrays are held, mu, c and the weights m/a,
+        # and a point costs five element passes and one weighted row sum.
+        # The expectation kernels' temporaries are freed before mu is made.
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        betas, sigma = self._split(thetas)
+        if alpha == 0.0:
+            offset = _log_norm(sigma) - self.log_density_expectation_batch(thetas, theta_true, rows)
+            factor, weights = -0.5 / sigma**2, None
+        else:
+            log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
+            offset = alpha * _log_norm(sigma) - log_m
+            weights = np.exp(log_m, out=log_m)
+            weights /= alpha
+            factor = -0.5 * alpha / sigma**2
+        return betas @ self.design[rows].T, factor, offset, weights
+
+    def summed_contamination_scores(self, terms, points):
+        mu, factor, offset, weights = terms
+        work = np.subtract(np.asarray(points, dtype=float), mu)
+        np.multiply(work, work, out=work)
+        work *= factor
+        work += offset
+        if weights is None:
+            return np.einsum("ij->i", work)
+        np.expm1(work, out=work)
+        return np.einsum("ij,ij->i", work, weights)
 
     def _pieces(self, x, theta, alpha, rows):
         beta, sigma = self._split(theta)

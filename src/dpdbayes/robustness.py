@@ -188,24 +188,13 @@ class BreakdownCurve:
 
 
 class _ScoreTerms:
-    """Contamination scores of fixed parameter rows, prepared for many points.
-
-    The expectation term (log integral f_i^a dG_i, or integral log f_i dG_i
-    at a = 0) and its exponential do not depend on the contamination point,
-    so they are computed once per (rows, theta_g, a); each point then costs
-    one log-density call and in-place updates of its result.
-    """
+    """Contamination scores of fixed parameter rows, prepared for many points:
+    the family computes the terms that do not depend on the point once per
+    (rows, theta_g, a)."""
 
     def __init__(self, model: ModelFamily, theta_g, thetas, alpha: float, rows=slice(None)):
         self.model = model
-        self.thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        self.alpha = alpha
-        self.rows = rows
-        if alpha == 0.0:
-            self.log_m = model.log_density_expectation_batch(self.thetas, theta_g, rows)
-        else:
-            self.log_m = model.log_power_expectation_batch(self.thetas, alpha, theta_g, rows)
-            self.m = np.exp(self.log_m)
+        self.prepared = model.contamination_terms(thetas, alpha, theta_g, rows)
 
 
 def _scenario_block(scenario):
@@ -219,17 +208,7 @@ def _scenario_block(scenario):
 
 def _summed_scores(terms: _ScoreTerms, points) -> np.ndarray:
     """(m,) sums of k_i(theta, t_i) over the prepared rows and indices."""
-    work = terms.model.log_density_batch(points, terms.thetas, terms.rows)
-    if terms.alpha == 0.0:
-        work -= terms.log_m
-    else:
-        # (e^{a log f(t)} - e^m)/a written through expm1 for stability at small a
-        work *= terms.alpha
-        work -= terms.log_m
-        np.expm1(work, out=work)
-        work *= terms.m
-        work /= terms.alpha
-    return work.sum(axis=1)
+    return terms.model.summed_contamination_scores(terms.prepared, points)
 
 
 def contamination_score(
@@ -584,7 +563,7 @@ def pseudo_influence(
     for j, t in enumerate(t_grid):
         scores = _summed_scores(draw_terms, float(t))
         mean_score = float(sample.weights @ scores)
-        post_var[j] = sample.variance(scores)
+        post_var[j] = float(sample.weights @ (scores - mean_score) ** 2)
         surface[:, j] = _summed_scores(grid_terms, float(t)) - mean_score
         m1 = float(w1 @ scores[:half]) / tot1
         m2 = float(w2 @ scores[half:]) / tot2

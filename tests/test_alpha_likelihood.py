@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from dpdbayes import (
     alpha_likelihood_functional_batch,
     dpd_loss,
 )
-from dpdbayes.alpha_likelihood import _BLOCK_VALUES
+from dpdbayes.alpha_likelihood import _BLOCK_VALUES, _FUNCTIONAL_BLOCK_VALUES
 
 INV_SQRT_2PI = (2.0 * math.pi) ** -0.5
 
@@ -143,6 +144,72 @@ def test_row_blocks_do_not_change_values(kind, data, n, alpha):
     # gemm rows do not depend on the rows beside them and every kernel sum is
     # row-local, so the blocks give the unblocked values too.
     assert np.array_equal(got, model.summed_q_value_batch(x, thetas, alpha))
+
+
+_SPEC_POINTS = {"known": 40.0, "unknown": -40.0, "logistic": 1.0}
+
+
+# n = 2^14 / 8 gives blocks of 8 rows, n = 700 blocks of 23.
+@pytest.mark.parametrize("kind", ["known", "unknown", "logistic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([_FUNCTIONAL_BLOCK_VALUES // 8, 700]),
+       alpha=st.sampled_from([0.0, 0.3]), eps=st.sampled_from([0.0, 0.2]))
+def test_functional_row_blocks_do_not_change_values(kind, data, n, alpha, eps):
+    model, _, theta = _block_problem(kind, n)
+    spec = Contaminated(theta, eps, _SPEC_POINTS[kind]) if eps else InModel(theta)
+    step = _FUNCTIONAL_BLOCK_VALUES // n
+    one_row_tails = [k * step + 1 for k in (0, 1, 2, 3)]
+    m = data.draw(st.one_of(st.integers(1, 3 * step + 1), st.sampled_from(one_row_tails)), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    thetas = theta + 0.2 * np.random.default_rng(seed).standard_normal((m, theta.size))
+    if model.scale_index is not None:
+        thetas[:, model.scale_index] = np.abs(thetas[:, model.scale_index])
+    got = alpha_likelihood_functional_batch(model, spec, thetas, alpha)
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [m]))
+    blocks = [alpha_likelihood_functional_batch(model, spec, thetas[a:b], alpha) for a, b in bounds]
+    assert np.array_equal(got, np.concatenate(blocks))
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("dpdbayes.alpha_likelihood")
+        patch.setattr(module, "_FUNCTIONAL_BLOCK_VALUES", 1 << 62)
+        unblocked = alpha_likelihood_functional_batch(model, spec, thetas, alpha)
+    # Every kernel sum is row-local, so the blocks give the unblocked values
+    # wherever BLAS gives a row of the linear predictors the same bits in a
+    # block as in the whole product.  OpenBLAS does not for some shapes: at
+    # n = 700 with two or more coefficients, rows differ in the last bit.
+    p, z = model.n_covariates, model.design
+    predictors = thetas[:, :p] @ z.T
+    if all(np.array_equal(thetas[a:b, :p] @ z.T, predictors[a:b]) for a, b in bounds):
+        assert np.array_equal(got, unblocked)
+    else:
+        assert np.allclose(got, unblocked, rtol=1e-13, atol=0.0)
+
+
+def test_contaminated_functional_batch_peak_memory_is_a_few_blocks():
+    # Unblocked, one (20000, 20) float64 array is 3.05 MiB and the batch
+    # peaked at 12-24 MiB.
+    gen = np.random.default_rng(3)
+    n, m = 20, 20_000
+    design = np.column_stack([np.ones(n), gen.standard_normal(n)])
+    cases = [
+        (LinearKnownSigma(design, 1.0), [5.0, 1.0], 1e3),
+        (LinearUnknownSigma(design), [5.0, 1.0, 1.0], 1e3),
+        (Logistic(design), [0.5, 1.0], 1.0),
+    ]
+    for model, theta_g, point in cases:
+        thetas = np.asarray(theta_g) + 0.1 * gen.standard_normal((m, len(theta_g)))
+        spec = Contaminated(theta_g, 0.3, point)
+        for alpha in (0.0, 0.5):
+            tracemalloc.start()
+            try:
+                alpha_likelihood_functional_batch(model, spec, thetas, alpha)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            name = type(model).__name__
+            assert peak < 2 * 2**20, f"{name}: peak {peak / 2**20:.1f} MiB at a = {alpha}"
 
 
 class _BlockLog(Logistic):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdbayes import (
     AllDirections,
@@ -16,6 +19,7 @@ from dpdbayes import (
     LinearUnknownSigma,
     Logistic,
     McConfig,
+    ModelFamily,
     OneDirection,
     breakdown_experiment,
     contamination_score,
@@ -132,6 +136,176 @@ class TestContaminationScore:
                     got = _summed_scores(terms, pts)
                     scale = np.abs(per_index).sum(axis=1)
                     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# The family score kernels: the Gaussian override against a 60-digit
+# reference and against the generic route, and the generic route against
+# the formula it replaced.
+# ---------------------------------------------------------------------------
+
+_SCORE_DESIGN = np.column_stack([np.ones(4), np.random.default_rng(5).standard_normal(4)])
+_SCORE_ALPHAS = [0.0, 1e-6, 0.1, 0.5, 0.8]
+
+
+def _gaussian_score_cases(count: int, seed: int):
+    """(model, theta_g, parameter rows) with means near 5; the free scale of
+    the rows differs from the truth's."""
+    gen = np.random.default_rng(seed)
+    known = LinearKnownSigma(_SCORE_DESIGN, 1.3)
+    unknown = LinearUnknownSigma(_SCORE_DESIGN)
+    cases = []
+    for model, theta_g in [(known, np.array([5.0, 1.0])), (unknown, np.array([5.0, 1.0, 1.3]))]:
+        thetas = theta_g + 0.3 * gen.standard_normal((count, model.dim))
+        if model.scale_index is not None:
+            thetas[:, -1] = 0.6 + 1.2 * gen.random(count)
+        cases.append((model, theta_g, thetas))
+    return cases
+
+
+def _score_scenarios(t: float, offsets):
+    """Common, per-index and one-direction points built from t."""
+    return [
+        AllDirections(points=t),
+        AllDirections(points=t + offsets),
+        OneDirection(index=2, point=t),
+    ]
+
+
+def _reference_score(model, theta, theta_g, alpha, rows, points):
+    """(summed score, conditioning scale) at 60 digits from the float inputs.
+
+    The scale adds to |k_i| the first-order effect of relative errors in the
+    two terms the score compares: f_i^a(t) (|log f_i(t)| + |log m_i|/a) with
+    m_i = integral f_i^a dG_i, or |log f_i(t)| + |E log f_i| at a = 0.  Near
+    a sign change of k_i the score is a difference of nearly equal terms, and
+    only this scale bounds the error of any floating-point route.
+    """
+    with mp.workdps(60):
+        f = mp.mpf
+        p = model.n_covariates
+        s, sg = (model.sigma, model.sigma) if model.scale_index is None else (theta[p], theta_g[p])
+        s, sg, a = f(float(s)), f(float(sg)), f(float(alpha))
+        log_norm = -mp.log(2 * mp.pi) / 2 - mp.log(s)
+        total = scale = f(0)
+        for i, t in zip(rows, np.broadcast_to(points, len(rows))):
+            z = [f(float(v)) for v in model.design[i]]
+            mu = mp.fsum(zj * f(float(b)) for zj, b in zip(z, theta[:p]))
+            delta = mu - mp.fsum(zj * f(float(b)) for zj, b in zip(z, theta_g[:p]))
+            log_f = log_norm - (f(float(t)) - mu) ** 2 / (2 * s**2)
+            if alpha == 0.0:
+                expected_log_f = log_norm - (sg**2 + delta**2) / (2 * s**2)
+                k = log_f - expected_log_f
+                scale += abs(log_f) + abs(expected_log_f)
+            else:
+                excess = a * sg**2 / s**2
+                log_m = (
+                    a * log_norm - mp.log1p(excess) / 2 - a * delta**2 / (2 * s**2 * (1 + excess))
+                )
+                k = (mp.exp(a * log_f) - mp.exp(log_m)) / a
+                scale += mp.exp(a * log_f) * (abs(log_f) + abs(log_m) / a) + abs(k)
+            total += k
+        return total, scale
+
+
+def _max_errors(t_grid, offsets, count, seed):
+    """Largest |error| / |score| and |error| / scale of the family kernel."""
+    worst_rel = worst_scaled = 0.0
+    for model, theta_g, thetas in _gaussian_score_cases(count, seed):
+        for alpha in _SCORE_ALPHAS:
+            for t in t_grid:
+                for scenario in _score_scenarios(float(t), offsets):
+                    rows, points = _scenario_block(scenario)
+                    got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+                    idx = range(model.n) if rows == slice(None) else rows
+                    for theta, value in zip(thetas, got):
+                        exact, scale = _reference_score(model, theta, theta_g, alpha, idx, points)
+                        err = abs(mp.mpf(float(value)) - exact)
+                        worst_rel = max(worst_rel, float(err / abs(exact)))
+                        worst_scaled = max(worst_scaled, float(err / scale))
+    return worst_rel, worst_scaled
+
+
+def _generic_scores(model, thetas, alpha, theta_g, rows, points):
+    """The ``ModelFamily`` score route, which the Gaussian families override."""
+    terms = ModelFamily.contamination_terms(model, thetas, alpha, theta_g, rows)
+    return ModelFamily.summed_contamination_scores(model, terms, points)
+
+
+class TestGaussianScoreKernel:
+    def test_accuracy_against_a_60_digit_reference(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Contamination points from -100 to 100 stay clear of every
+            # score's sign change (the means are near 5): relative accuracy.
+            far_rel, far_scaled = _max_errors(
+                np.linspace(-100.0, 100.0, 7), np.array([-20.0, -10.0, 15.0, 25.0]), 16, 6
+            )
+            # Points across the means cross the sign changes: accuracy
+            # relative to the conditioning scale.
+            _, near_scaled = _max_errors(
+                np.linspace(2.0, 8.0, 7), np.array([-2.0, -1.0, 1.0, 2.0]), 8, 7
+            )
+        assert far_rel <= 1e-15
+        assert max(far_scaled, near_scaled) <= 1e-15
+
+    @pytest.mark.parametrize("family", ["known", "unknown"])
+    # Deterministic examples: a draw within about 1e-4 of a score's sign
+    # change would be ill-conditioned for both routes.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alpha=st.one_of(st.sampled_from(_SCORE_ALPHAS), st.floats(1e-9, 2.0)),
+        t=st.floats(-100.0, 100.0),
+        kind=st.sampled_from(["common", "per-index", "one"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_generic_route(self, family, alpha, t, kind, seed):
+        known, unknown = _gaussian_score_cases(6, seed)
+        model, theta_g, thetas = known if family == "known" else unknown
+        offsets = np.random.default_rng(seed).uniform(-10.0, 10.0, model.n)
+        scenarios = dict(zip(["common", "per-index", "one"], _score_scenarios(t, offsets)))
+        rows, points = _scenario_block(scenarios[kind])
+        got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+        generic = _generic_scores(model, thetas, alpha, theta_g, rows, points)
+        idx = range(model.n) if rows == slice(None) else rows
+        pts = np.broadcast_to(points, len(idx))
+        magnitude = sum(
+            np.abs(_generic_scores(model, thetas, alpha, theta_g, [i], pts[j]))
+            for j, i in enumerate(idx)
+        )
+        assert np.all(np.abs(got - generic) <= 1e-12 * magnitude)
+
+
+def _summed_scores_before_the_hook(model, theta_g, thetas, alpha, rows, points):
+    """The contamination-score formula the generic route keeps: one
+    log-density call and in-place updates of its result."""
+    work = model.log_density_batch(points, thetas, rows)
+    if alpha == 0.0:
+        work -= model.log_density_expectation_batch(thetas, theta_g, rows)
+    else:
+        log_m = model.log_power_expectation_batch(thetas, alpha, theta_g, rows)
+        work *= alpha
+        work -= log_m
+        np.expm1(work, out=work)
+        work *= np.exp(log_m)
+        work /= alpha
+    return work.sum(axis=1)
+
+
+@pytest.mark.parametrize("alpha", _SCORE_ALPHAS)
+def test_logistic_scores_are_bit_identical_to_the_formula(alpha):
+    gen = np.random.default_rng(43)
+    design = np.column_stack([np.ones(30), gen.standard_normal((30, 2))])
+    model = Logistic(design)
+    theta_g = np.array([0.5, -1.0, 0.3])
+    thetas = theta_g + 0.4 * gen.standard_normal((500, 3))
+    per_index = (gen.random(30) < 0.5).astype(float)
+    for scenario in [AllDirections(points=1.0), AllDirections(points=per_index),
+                     OneDirection(index=7, point=0.0)]:
+        rows, points = _scenario_block(scenario)
+        got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+        expected = _summed_scores_before_the_hook(model, theta_g, thetas, alpha, rows, points)
+        assert np.array_equal(got, expected)
 
 
 class TestFunctionalPosteriorSample:
@@ -322,6 +496,17 @@ class TestPseudoInfluence:
         result = pseudo_influence(model, spec, prior, 0.4, theta_grid, np.array([12.0]), mc)
         report = sensitivities(result, phi_second_derivative_at_1=1.0)
         assert report.s[0] == pytest.approx(result.posterior_variance[0])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_posterior_variance_is_the_sample_variance_of_the_scores(self, location_setup, alpha):
+        model, spec, prior = location_setup
+        mc = McConfig(seed=36, draws=5000)
+        t_grid = np.array([-20.0, 0.0, 3.5, 20.0])
+        result = pseudo_influence(model, spec, prior, alpha, np.array([[5.0]]), t_grid, mc)
+        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+        terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
+        expected = [sample.variance(_summed_scores(terms, t)) for t in t_grid]
+        assert np.array_equal(result.posterior_variance, expected)
 
 
     def test_grid_outside_parameter_space_rejected(self):

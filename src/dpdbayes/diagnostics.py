@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import mdpde
-from .models import Dataset, ModelFamily
+from .models import Dataset, ModelFamily, _zeta
 from .posterior import GaussianPrior, PosteriorChain, importance_expectation
 
 __all__ = [
@@ -98,14 +98,11 @@ def efficiency(alpha: float, sigma: float = 1.0) -> EfficiencyReport:
         raise ValueError("alpha must be >= 0")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    zeta = (2.0 * math.pi) ** (-alpha / 2.0) * sigma ** (-(alpha + 2.0)) * (
-        1.0 + alpha
-    ) ** -1.5
     ub = _upsilon_beta(alpha)
     us = _upsilon_sigma(alpha)
     return EfficiencyReport(
         alpha=alpha,
-        zeta_alpha=zeta,
+        zeta_alpha=_zeta(alpha, sigma),
         upsilon_beta=ub,
         upsilon_sigma=us,
         are_beta_percent=100.0 / ub,

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .alpha_likelihood import (
-    Contaminated,
-    InModel,
-    alpha_likelihood_functional,
-    alpha_likelihood_functional_batch,
-)
+from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
 from .models import LinearKnownSigma, ModelFamily
 from .posterior import DegenerateWeightsError, GaussianPrior, LossFunction
 from .posterior import _log_posterior_rows, _normalised_weights
@@ -105,9 +100,6 @@ class FunctionalPosteriorSample:
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.draws
-
-    def expectation(self, values: np.ndarray) -> np.ndarray:
-        return self.weights @ values
 
     def variance(self, values: np.ndarray) -> float:
         mean = float(self.weights @ values)
@@ -187,16 +179,6 @@ class BreakdownCurve:
 # ---------------------------------------------------------------------------
 
 
-class _ScoreTerms:
-    """Contamination scores of fixed parameter rows, prepared for many points:
-    the family computes the terms that do not depend on the point once per
-    (rows, theta_g, a)."""
-
-    def __init__(self, model: ModelFamily, theta_g, thetas, alpha: float, rows=slice(None)):
-        self.model = model
-        self.prepared = model.contamination_terms(thetas, alpha, theta_g, rows)
-
-
 def _scenario_block(scenario):
     """(index block, contamination points) of a contamination scenario."""
     if isinstance(scenario, OneDirection):
@@ -206,9 +188,10 @@ def _scenario_block(scenario):
     raise TypeError(f"unsupported contamination scenario: {type(scenario).__name__}")
 
 
-def _summed_scores(terms: _ScoreTerms, points) -> np.ndarray:
-    """(m,) sums of k_i(theta, t_i) over the prepared rows and indices."""
-    return terms.model.summed_contamination_scores(terms.prepared, points)
+def _summed_scores(model: ModelFamily, terms, points) -> np.ndarray:
+    """(m,) sums of k_i(theta, t_i) over the rows and indices that
+    ``model.contamination_terms`` prepared ``terms`` for."""
+    return model.summed_contamination_scores(terms, points)
 
 
 def contamination_score(
@@ -220,8 +203,8 @@ def contamination_score(
     if not isinstance(spec, InModel):
         raise TypeError("contamination scores are defined against in-model truths")
     theta = model.validate_theta(theta)
-    terms = _ScoreTerms(model, spec.theta_g, theta, alpha, model._check_index(i))
-    return float(_summed_scores(terms, t)[0])
+    terms = model.contamination_terms(theta, alpha, spec.theta_g, model._check_index(i))
+    return float(_summed_scores(model, terms, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +267,21 @@ def _log_functional_posterior(model, spec, prior, alpha):
     return fn_batch
 
 
-def _locate_center(model, spec, prior, alpha) -> np.ndarray:
-    fn_batch = _log_functional_posterior(model, spec, prior, alpha)
+def _population_mode(fn_batch, model, spec) -> np.ndarray:
+    """Maximizer of a population objective given per parameter row.
+
+    A contaminated one-dimensional objective can be multimodal, so a grid
+    spanning theta_g and the contamination points is swept first.  The
+    Nelder-Mead polish stops on a function tolerance relative to the
+    objective's size at the start: at a = 0 a contamination point at 100
+    puts the objective near -1.9e4, where one ulp exceeds 1e-12.
+    """
 
     def neg(theta):
         return -float(fn_batch(np.atleast_2d(theta))[0])
 
     start = np.asarray(spec.theta_g, dtype=float)
     if isinstance(spec, Contaminated) and spec.eps > 0.0 and model.dim == 1:
-        # Global grid sweep first: the contaminated objective can be multimodal.
         pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
         spread = 10.0 * model.scale(start)
         lo = min(float(start[0]), float(pts.min())) - spread
@@ -300,7 +289,8 @@ def _locate_center(model, spec, prior, alpha) -> np.ndarray:
         grid = np.linspace(lo, hi, 2048)
         vals = fn_batch(grid[:, None])
         start = np.array([grid[int(np.argmax(vals))]])
-    res = optimize.minimize(neg, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+    fatol = 1e-12 * max(1.0, abs(neg(start)))
+    res = optimize.minimize(neg, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": fatol, "maxiter": 2000})
     return np.atleast_1d(np.asarray(res.x, dtype=float))
 
 
@@ -317,7 +307,7 @@ def functional_posterior_sample(
     below 50 after two widening retries.
     """
     fn_batch = _log_functional_posterior(model, spec, prior, alpha)
-    center = _locate_center(model, spec, prior, alpha)
+    center = _population_mode(fn_batch, model, spec)
     curvature = _fd_curvature(lambda th: float(fn_batch(np.atleast_2d(th))[0]), center)
     dim = center.size
     try:
@@ -351,6 +341,16 @@ def functional_posterior_sample(
 # ---------------------------------------------------------------------------
 # Influence functions.
 # ---------------------------------------------------------------------------
+
+
+def _population_terms(model, spec, prior, alpha, mc, sample=None, rows=slice(None)):
+    """(sample, its draws' prepared score terms) for an influence function:
+    the population-posterior sample is drawn unless one is given."""
+    if not isinstance(spec, InModel):
+        raise TypeError("influence functions are derivatives at the uncontaminated truth")
+    if sample is None:
+        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+    return sample, model.contamination_terms(sample.draws, alpha, spec.theta_g, rows)
 
 
 def _weighted_cov_vector(draws, weights, scores):
@@ -400,13 +400,9 @@ def influence_posterior_mean(
     and the summed contamination score; block-split standard errors quantify
     the Monte Carlo noise.
     """
-    if not isinstance(spec, InModel):
-        raise TypeError("influence functions are derivatives at the uncontaminated truth")
     rows, points = _scenario_block(scenario)
-    if sample is None:
-        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
-    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha, rows)
-    scores = _summed_scores(terms, points)
+    sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
+    scores = _summed_scores(model, terms, points)
     return _covariance_influence(sample, _weight_blocks(sample.weights), scores)
 
 
@@ -425,24 +421,29 @@ def influence_curve(
     Returns (values, standard_errors, sample) with values of shape
     (len(t_grid), dim).
     """
-    if not isinstance(spec, InModel):
-        raise TypeError("influence functions are derivatives at the uncontaminated truth")
-    sample = functional_posterior_sample(model, spec, prior, alpha, mc)
-    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
+    sample, terms = _population_terms(model, spec, prior, alpha, mc)
     blocks = _weight_blocks(sample.weights)
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.empty((t_grid.size, model.dim))
     errors = np.empty_like(values)
     for j, t in enumerate(t_grid):
-        est = _covariance_influence(sample, blocks, _summed_scores(terms, float(t)))
+        est = _covariance_influence(sample, blocks, _summed_scores(model, terms, float(t)))
         values[j] = est.value
         errors[j] = est.standard_error
     return values, errors, sample
 
 
-def _require_known_scale(model) -> None:
+def _alpha0_gaussian_posterior(model, prior, spec, t):
+    """Precision C^{-1} + Z'Z/sigma^2 of the a = 0 population posterior of the
+    known-scale linear model with a Gaussian prior, and the direction
+    (t sum_i z_i - Z'Z theta_g)/sigma^2 of its summed score at common t."""
     if not isinstance(model, LinearKnownSigma) or model.scale_index is not None:
         raise TypeError("closed form available for the known-scale linear model only")
+    z = model.design
+    s2 = model.sigma**2
+    precision = np.linalg.inv(prior.covariance) + z.T @ z / s2
+    direction = (float(t) * z.sum(axis=0) - z.T @ z @ spec.theta_g) / s2
+    return precision, direction
 
 
 def influence_closed_form_alpha0(
@@ -459,12 +460,8 @@ def influence_closed_form_alpha0(
     independent of the prior mean.  For the all-ones design with unit prior
     variance and sigma = 1 this is the familiar n (t - mean(z) beta_g)/(n+1).
     """
-    _require_known_scale(model)
-    z = model.design
-    s2 = model.sigma**2
-    v = np.linalg.inv(np.linalg.inv(prior.covariance) + z.T @ z / s2)
-    rhs = (float(t) * z.sum(axis=0) - z.T @ z @ spec.theta_g) / s2
-    return v @ rhs
+    precision, direction = _alpha0_gaussian_posterior(model, prior, spec, t)
+    return np.linalg.inv(precision) @ direction
 
 
 def influence_bayes_estimate(
@@ -485,8 +482,7 @@ def influence_bayes_estimate(
     reproduces the posterior-mean influence exactly.
     """
     rows, points = _scenario_block(scenario)
-    if sample is None:
-        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+    sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     draws = sample.draws[:, component]
     w = sample.weights
 
@@ -503,8 +499,7 @@ def influence_bayes_estimate(
     denom = float(w @ loss.d2(draws, t_star))
     if denom <= 0.0:
         raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-    terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha, rows)
-    scores = _summed_scores(terms, points)
+    scores = _summed_scores(model, terms, points)
     lprime = loss.d1(draws, t_star)
     value = -float(w @ (lprime * scores)) / denom
     vals = np.asarray(
@@ -550,9 +545,8 @@ def pseudo_influence(
             f"theta_grid row {int(np.argmax(outside))} lies outside the parameter space"
         )
     t_grid = np.asarray(t_grid, dtype=float)
-    sample = functional_posterior_sample(model, spec, prior, alpha, mc)
-    draw_terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
-    grid_terms = _ScoreTerms(model, spec.theta_g, theta_grid, alpha)
+    sample, draw_terms = _population_terms(model, spec, prior, alpha, mc)
+    grid_terms = model.contamination_terms(theta_grid, alpha, spec.theta_g)
     half = sample.draws.shape[0] // 2
     w1, w2 = sample.weights[:half], sample.weights[half:]
     tot1, tot2 = float(w1.sum()), float(w2.sum())
@@ -561,13 +555,13 @@ def pseudo_influence(
     check = np.empty(t_grid.size)
     check_se = np.empty(t_grid.size)
     for j, t in enumerate(t_grid):
-        scores = _summed_scores(draw_terms, float(t))
+        scores = _summed_scores(model, draw_terms, float(t))
         mean_score = float(sample.weights @ scores)
-        post_var[j] = float(sample.weights @ (scores - mean_score) ** 2)
-        surface[:, j] = _summed_scores(grid_terms, float(t)) - mean_score
-        m1 = float(w1 @ scores[:half]) / tot1
-        m2 = float(w2 @ scores[half:]) / tot2
-        check[j] = m1 - m2
+        centered = scores - mean_score
+        post_var[j] = float(sample.weights @ centered**2)
+        surface[:, j] = _summed_scores(model, grid_terms, float(t)) - mean_score
+        # Half means of the centered scores: raw ones would cancel.
+        check[j] = float(w1 @ centered[:half]) / tot1 - float(w2 @ centered[half:]) / tot2
         # Crude scale for the split discrepancy from the pooled variance.
         check_se[j] = math.sqrt(
             2.0 * post_var[j] / max(sample.effective_sample_size / 2.0, 1.0)
@@ -596,14 +590,11 @@ def pseudo_influence_closed_form_alpha0(
     with the prior mean at theta_g the posterior mean equals theta_g and
     this is the familiar unbounded-in-t linear form.
     """
-    _require_known_scale(model)
-    z = model.design
-    s2 = model.sigma**2
+    precision, direction = _alpha0_gaussian_posterior(model, prior, spec, t)
     theta = model.validate_theta(theta)
-    precision = np.linalg.inv(prior.covariance) + z.T @ z / s2
-    rhs = np.linalg.inv(prior.covariance) @ prior.mean + z.T @ z @ spec.theta_g / s2
+    z = model.design
+    rhs = np.linalg.inv(prior.covariance) @ prior.mean + z.T @ z @ spec.theta_g / model.sigma**2
     theta_bar = np.linalg.solve(precision, rhs)
-    direction = (float(t) * z.sum(axis=0) - z.T @ z @ spec.theta_g) / s2
     return float((theta - theta_bar) @ direction)
 
 
@@ -640,31 +631,11 @@ def sensitivities(
 def minimum_divergence_functional(
     model: ModelFamily, spec, alpha: float
 ) -> np.ndarray:
-    """Global maximizer of the population objective (no prior).
-
-    One-dimensional problems are swept on a wide grid before polishing, so
-    the global optimum is found even when contamination makes the objective
-    multimodal.
-    """
-
-    def neg(theta):
-        return -alpha_likelihood_functional(model, spec, np.atleast_1d(theta), alpha)
-
-    start = np.asarray(spec.theta_g, dtype=float)
-    if model.dim == 1:
-        anchor = [float(start[0])]
-        if isinstance(spec, Contaminated) and spec.eps > 0.0:
-            pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
-            anchor += [float(pts.min()), float(pts.max())]
-        spread = 10.0 * model.scale(start)
-        lo, hi = min(anchor) - spread, max(anchor) + spread
-        grid = np.linspace(lo, hi, 4096)
-        vals = alpha_likelihood_functional_batch(model, spec, grid[:, None], alpha)
-        start = np.array([grid[int(np.argmax(vals))]])
-    res = optimize.minimize(
-        neg, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
+    """Global maximizer of the population objective (no prior), found by the
+    same search as the importance-sampling center (``_population_mode``)."""
+    return _population_mode(
+        lambda thetas: alpha_likelihood_functional_batch(model, spec, thetas, alpha), model, spec
     )
-    return np.atleast_1d(np.asarray(res.x, dtype=float))
 
 
 def breakdown_experiment(

@@ -4,7 +4,9 @@ The workloads under ``bench/`` check each job against references computed
 without the package; this runs one pass of each at seed 1 so that a change
 that breaks an output fails here, not only in a benchmark run.  One traced
 pass of ``influence`` checks that the span tracer still finds the probes it
-wraps by name, so a refactor that drops one fails here, not in a traced run.
+wraps by name and that the robustness counters it reports are fed, so a
+refactor that drops a probe or starves a counter fails here, not in a traced
+run.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ def test_traced_influence_pass_records_the_probes(bench, spans, tmp_path, monkey
     recorded = {tracer.names[i] for i in tracer.name}
     assert "robustness._summed_scores" in recorded
     assert "robustness._TwoScaleProposal.sample_batch" in recorded
+    metrics = spans.summarize(tracer, 1)
+    assert metrics["robustness.t_points"] == 924
+    assert metrics["robustness.optimizer_evals"] > 0
+    assert metrics["robustness.scores_ms_per_point"] > 0
     after = _package_attributes(spans.LAYERS)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []

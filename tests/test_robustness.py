@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dpdbayes import (
     AllDirections,
+    Contaminated,
     GaussianPrior,
     InModel,
     LinearKnownSigma,
@@ -33,9 +34,9 @@ from dpdbayes import (
     sensitivities,
     squared_error_loss,
 )
+from dpdbayes import robustness
 from dpdbayes.robustness import (
     _scenario_block,
-    _ScoreTerms,
     _summed_scores,
     functional_posterior_sample,
 )
@@ -132,8 +133,8 @@ class TestContaminationScore:
                     (OneDirection(index=3, point=t), per_index[:, 3]),
                 ]:
                     rows, pts = _scenario_block(scenario)
-                    terms = _ScoreTerms(model, spec.theta_g, thetas, alpha, rows)
-                    got = _summed_scores(terms, pts)
+                    terms = model.contamination_terms(thetas, alpha, spec.theta_g, rows)
+                    got = _summed_scores(model, terms, pts)
                     scale = np.abs(per_index).sum(axis=1)
                     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
@@ -216,7 +217,8 @@ def _max_errors(t_grid, offsets, count, seed):
             for t in t_grid:
                 for scenario in _score_scenarios(float(t), offsets):
                     rows, points = _scenario_block(scenario)
-                    got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+                    terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+                    got = _summed_scores(model, terms, points)
                     idx = range(model.n) if rows == slice(None) else rows
                     for theta, value in zip(thetas, got):
                         exact, scale = _reference_score(model, theta, theta_g, alpha, idx, points)
@@ -265,7 +267,8 @@ class TestGaussianScoreKernel:
         offsets = np.random.default_rng(seed).uniform(-10.0, 10.0, model.n)
         scenarios = dict(zip(["common", "per-index", "one"], _score_scenarios(t, offsets)))
         rows, points = _scenario_block(scenarios[kind])
-        got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+        terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+        got = _summed_scores(model, terms, points)
         generic = _generic_scores(model, thetas, alpha, theta_g, rows, points)
         idx = range(model.n) if rows == slice(None) else rows
         pts = np.broadcast_to(points, len(idx))
@@ -303,7 +306,8 @@ def test_logistic_scores_are_bit_identical_to_the_formula(alpha):
     for scenario in [AllDirections(points=1.0), AllDirections(points=per_index),
                      OneDirection(index=7, point=0.0)]:
         rows, points = _scenario_block(scenario)
-        got = _summed_scores(_ScoreTerms(model, theta_g, thetas, alpha, rows), points)
+        terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+        got = _summed_scores(model, terms, points)
         expected = _summed_scores_before_the_hook(model, theta_g, thetas, alpha, rows, points)
         assert np.array_equal(got, expected)
 
@@ -418,6 +422,23 @@ class TestInfluence:
         )
         assert loss.value[0] == pytest.approx(erpe.value[0], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("which", ["posterior-mean", "curve", "bayes-estimate", "pseudo"])
+    def test_contaminated_truth_rejected(self, location_setup, which):
+        model, _, prior = location_setup
+        spec = Contaminated(np.array([5.0]), 0.1, 50.0)
+        mc = McConfig(seed=27, draws=2000)
+        scenario = AllDirections(points=8.0)
+        calls = {
+            "posterior-mean": lambda: influence_posterior_mean(model, spec, prior, 0.4, scenario, mc),
+            "curve": lambda: influence_curve(model, spec, prior, 0.4, [8.0], mc),
+            "bayes-estimate": lambda: influence_bayes_estimate(
+                model, spec, prior, 0.4, squared_error_loss(), scenario, mc
+            ),
+            "pseudo": lambda: pseudo_influence(model, spec, prior, 0.4, [[5.0]], [8.0], mc),
+        }
+        with pytest.raises(TypeError, match="uncontaminated truth"):
+            calls[which]()
+
     def test_huber_influence_finite_on_grid(self, location_setup):
         from dpdbayes import huber_loss
 
@@ -504,10 +525,39 @@ class TestPseudoInfluence:
         t_grid = np.array([-20.0, 0.0, 3.5, 20.0])
         result = pseudo_influence(model, spec, prior, alpha, np.array([[5.0]]), t_grid, mc)
         sample = functional_posterior_sample(model, spec, prior, alpha, mc)
-        terms = _ScoreTerms(model, spec.theta_g, sample.draws, alpha)
-        expected = [sample.variance(_summed_scores(terms, t)) for t in t_grid]
+        terms = model.contamination_terms(sample.draws, alpha, spec.theta_g)
+        expected = [sample.variance(_summed_scores(model, terms, t)) for t in t_grid]
         assert np.array_equal(result.posterior_variance, expected)
 
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double"
+    )
+    def test_centering_check_against_a_long_double_reference(self):
+        # The split-half discrepancy is a difference of two nearly equal
+        # half means; taken from the centered scores it keeps its accuracy.
+        gen = np.random.default_rng(37)
+        model = LinearKnownSigma((1.0 + gen.standard_normal(20)).reshape(-1, 1), 1.0)
+        spec = InModel([5.0])
+        prior = GaussianPrior([5.0], [[1.0]])
+        t_grid = np.arange(-100.0, 100.0 + 1e-9, 4.0)
+        for alpha, seed in [(0.1, 1), (0.1, 2), (0.8, 3)]:
+            mc = McConfig(seed=seed, draws=5000)
+            result = pseudo_influence(model, spec, prior, alpha, [[5.0]], t_grid, mc)
+            sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+            terms = model.contamination_terms(sample.draws, alpha, spec.theta_g)
+            w = sample.weights.astype(np.longdouble)
+            half = w.size // 2
+            reference = []
+            for t in t_grid:
+                k = _summed_scores(model, terms, t).astype(np.longdouble)
+                reference.append(
+                    np.sum(w[:half] * k[:half]) / np.sum(w[:half])
+                    - np.sum(w[half:] * k[half:]) / np.sum(w[half:])
+                )
+            reference = np.array(reference)
+            error = np.max(np.abs(result.centering_check - reference)) / np.max(np.abs(reference))
+            assert error <= 1e-13
 
     def test_grid_outside_parameter_space_rejected(self):
         model = LinearUnknownSigma(np.ones((20, 1)))
@@ -558,6 +608,33 @@ class TestBreakdown:
         a = breakdown_experiment(model, prior, [5.0], 0.5, 0.3, [1e2, 1e4], seed=44, draws=20_000)
         b = breakdown_experiment(model, prior, [5.0], 0.5, 0.3, [1e2, 1e4], seed=44, method="laplace")
         assert np.all(np.abs(a.estimates - b.estimates) < 0.05)
+
+    def test_every_population_mode_search_converges(self, location_setup, monkeypatch):
+        # At a = 0 the contaminated objective reaches -1.9e4 at M = 100, where
+        # one ulp exceeds an absolute function tolerance of 1e-12; the search
+        # must still stop on its tolerance, not on an iteration cap.
+        model, _, prior = location_setup
+        minimize = robustness.optimize.minimize
+        results = []
+
+        def recording(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(robustness.optimize, "minimize", recording)
+        mags = np.array([10.0**k for k in range(1, 7)])
+        for alpha in [0.0, 0.5]:
+            for eps in [0.1, 0.3, 0.45]:
+                laplace = breakdown_experiment(
+                    model, prior, [5.0], alpha, eps, mags, seed=45, method="laplace"
+                )
+                breakdown_experiment(model, prior, [5.0], alpha, eps, mags, seed=45, draws=2000)
+                if alpha == 0.0:
+                    exact = (1.0 - eps) * 5.0 + eps * mags
+                    assert np.all(np.abs(laplace.estimates - exact) <= 1e-7 * exact)
+        assert len(results) == 2 * 3 * 2 * (1 + mags.size)
+        assert [res.message for res in results if not res.success] == []
 
     def test_functional_optimum_clean_case(self, location_setup):
         model, spec, _ = location_setup

@@ -30,7 +30,7 @@ from scipy import special, stats
 
 from . import mdpde
 from .models import Dataset, ModelFamily, _zeta
-from .posterior import GaussianPrior, PosteriorChain, importance_expectation
+from .posterior import DegenerateWeightsError, GaussianPrior, PosteriorChain, _importance_sample
 
 __all__ = [
     "EfficiencyReport",
@@ -202,6 +202,7 @@ class ReplicationReport:
     upsilon_sigma_target: float | None
     anderson_darling: tuple[float, ...]
     failures: int
+    failures_by_kind: dict[str, int]  # exception class name -> count
     alpha: float
     n: int
 
@@ -214,16 +215,15 @@ def posterior_mean_replications(
     seed: int,
     prior: GaussianPrior | None = None,
     is_draws: int = 2048,
-    proposal_inflation: float = 1.5,
 ) -> ReplicationReport:
     """Replicate data generation and posterior-mean estimation.
 
     Each replication simulates responses at ``theta_g``, fits the divergence
-    objective, and computes the posterior mean by self-normalized importance
-    sampling with a Gaussian proposal centered at the point estimate and
-    scaled by the inflated inverse observed curvature.  Per-replication seeds
-    are spawned from the master seed.  Replication failures are counted, not
-    fatal.
+    objective, and computes the posterior mean with the posterior module's
+    importance sampler, centered at the point estimate with the Laplace
+    covariance inv(n psi_hat).  Per-replication seeds are spawned from the
+    master seed.  A fit, curvature or weight failure is counted by kind in
+    ``failures_by_kind``, not fatal; any other error propagates.
     """
     if replications < 2:
         raise ValueError("need at least two replications")
@@ -232,7 +232,7 @@ def posterior_mean_replications(
         prior = GaussianPrior.isotropic(np.zeros(model.dim), 100.0)
     seeds = np.random.SeedSequence(seed).spawn(replications)
     estimates = []
-    failures = 0
+    failures_by_kind: dict[str, int] = {}
     for seq in seeds:
         rng = np.random.default_rng(seq)
         responses = model.sample_responses(theta_g, rng)
@@ -240,25 +240,18 @@ def posterior_mean_replications(
         try:
             theta_hat = mdpde.fit(model, data, alpha).converged_estimate()
             sw = mdpde.sandwich(model, data, theta_hat, alpha)
-            # Inverse observed curvature = Laplace covariance of the posterior.
-            cov = np.linalg.inv(model.n * sw.psi_hat)
-            cov = 0.5 * (cov + cov.T)
-            proposal = GaussianPrior(theta_hat, proposal_inflation**2 * cov)
-            result = importance_expectation(
-                model,
-                data,
-                prior,
-                alpha,
-                h=lambda th: th,
-                proposal=proposal,
-                m=is_draws,
-                seed=int(rng.integers(2**63 - 1)),
+            is_rng = np.random.default_rng(int(rng.integers(2**63 - 1)))
+            # Observed curvature n psi_hat: its inverse is the Laplace covariance.
+            draws, weights, _, _ = _importance_sample(
+                model, data, prior, alpha, theta_hat, model.n * sw.psi_hat, is_rng, is_draws
             )
-            estimates.append(result.estimate)
-        except Exception:
-            failures += 1
+            estimates.append(weights @ draws)
+        except (mdpde.FitNotConvergedError, mdpde.SingularHessianError,
+                DegenerateWeightsError, np.linalg.LinAlgError) as exc:
+            kind = type(exc).__name__
+            failures_by_kind[kind] = failures_by_kind.get(kind, 0) + 1
     if len(estimates) < 2:
-        raise RuntimeError("all replications failed")
+        raise RuntimeError(f"all replications failed: {failures_by_kind}")
     est = np.asarray(estimates)
     n = model.n
     p_beta = model.n_covariates
@@ -284,7 +277,8 @@ def posterior_mean_replications(
         scaled_sigma_var=scaled_sigma_var,
         upsilon_sigma_target=upsilon_sigma,
         anderson_darling=ad_stats,
-        failures=failures,
+        failures=sum(failures_by_kind.values()),
+        failures_by_kind=failures_by_kind,
         alpha=alpha,
         n=n,
     )

@@ -10,7 +10,8 @@ Sampling is plain random-walk Metropolis with a Gaussian proposal whose
 covariance defaults to 2.38^2/p times the inverse observed curvature at the
 point estimate.  Chains are bit-reproducible for a fixed seed.  Posterior
 expectations can also be computed without a chain through self-normalized
-importance sampling against a user-supplied Gaussian proposal.
+importance sampling, from a caller's Gaussian proposal or from the defensive
+two-scale proposal that data and population posteriors share.
 """
 
 from __future__ import annotations
@@ -321,6 +322,54 @@ def _normalised_weights(log_w: np.ndarray, context: str):
     if ess < 50.0:
         raise DegenerateWeightsError(f"effective sample size {ess:.1f} < 50{context}")
     return w / total, ess
+
+
+#: Covariance inflation of the first importance proposal; each retry doubles it.
+_BASE_INFLATION = 1.5
+
+
+class _TwoScaleProposal:
+    """Gaussian center-scale mixture; the wide component guards the tails."""
+
+    def __init__(self, mean, cov, wide_factor: float = 4.0, wide_weight: float = 0.15):
+        self.narrow = GaussianPrior(mean, cov)
+        self.wide = GaussianPrior(mean, wide_factor**2 * np.atleast_2d(cov))
+        self.log_wts = np.log([1.0 - wide_weight, wide_weight])
+
+    def sample_batch(self, rng, m):
+        pick = rng.random(m) < math.exp(self.log_wts[1])
+        draws = self.narrow.sample_batch(rng, m)
+        wide = self.wide.sample_batch(rng, m)
+        draws[pick] = wide[pick]
+        return draws
+
+    def log_density_batch(self, thetas):
+        a = self.log_wts[0] + self.narrow.log_density_batch(thetas)
+        b = self.log_wts[1] + self.wide.log_density_batch(thetas)
+        return np.logaddexp(a, b)
+
+
+def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng, m: int):
+    """(draws, weights, effective sample size, inflation) from the two-scale
+    proposal at ``center`` with covariance inflation^2 inv(``curvature``).
+    Draws outside ``model.in_support`` are dropped, the rest weighted by
+    (log prior + Q) - log proposal.  The inflation is ``_BASE_INFLATION``,
+    doubled after each ``DegenerateWeightsError``, twice at most."""
+    cov = np.linalg.inv(curvature)
+    cov = 0.5 * (cov + cov.T)
+    for retry in range(3):
+        inflation = _BASE_INFLATION * 2.0**retry
+        proposal = _TwoScaleProposal(center, inflation**2 * cov)
+        draws = proposal.sample_batch(rng, m)
+        draws = draws[model.in_support(draws)]
+        log_w = prior.log_density_batch(draws)
+        _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
+        log_w -= proposal.log_density_batch(draws)
+        try:
+            return (draws, *_normalised_weights(log_w, f" with inflation {inflation:g}"), inflation)
+        except DegenerateWeightsError:
+            if retry == 2:
+                raise
 
 
 def log_posterior_unnorm(

@@ -20,9 +20,9 @@ Global robustness is probed by the breakdown experiment: the population
 posterior-mean functional is tracked while point-mass contamination is pushed
 to ever larger magnitudes.  A bounded (plateauing) trajectory for a > 0 and
 unbounded linear growth at a = 0 reproduce the theoretical breakdown
-behaviour.  Population posterior expectations are computed by self-normalized
-importance sampling against a Gaussian proposal centered at the maximizer of
-the population objective.
+behaviour.  Population posterior expectations are computed by the posterior
+module's importance sampler, its proposal centered at the maximizer of the
+population objective plus log prior and scaled by the curvature there.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ import numpy as np
 from scipy import optimize
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
+from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily
-from .posterior import DegenerateWeightsError, GaussianPrior, LossFunction
-from .posterior import _log_posterior_rows, _normalised_weights
+from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
+from .posterior import _importance_sample, _log_posterior_rows
+from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
 __all__ = [
     "OneDirection",
@@ -82,7 +84,6 @@ class McConfig:
 
     seed: int
     draws: int = 20_000
-    proposal_inflation: float = 1.5
 
     def __post_init__(self) -> None:
         if self.draws < 1000:
@@ -97,6 +98,7 @@ class FunctionalPosteriorSample:
     weights: np.ndarray  # normalized, sums to one
     effective_sample_size: float
     center: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.draws
@@ -212,59 +214,20 @@ def contamination_score(
 # ---------------------------------------------------------------------------
 
 
-class _TwoScaleProposal:
-    """Gaussian center-scale mixture; the wide component guards the tails."""
-
-    def __init__(self, mean, cov, wide_factor: float = 4.0, wide_weight: float = 0.15):
-        self.narrow = GaussianPrior(mean, cov)
-        self.wide = GaussianPrior(mean, wide_factor**2 * np.atleast_2d(cov))
-        self.log_wts = np.log([1.0 - wide_weight, wide_weight])
-
-    def sample_batch(self, rng, m):
-        pick = rng.random(m) < math.exp(self.log_wts[1])
-        draws = self.narrow.sample_batch(rng, m)
-        wide = self.wide.sample_batch(rng, m)
-        draws[pick] = wide[pick]
-        return draws
-
-    def log_density_batch(self, thetas):
-        a = self.log_wts[0] + self.narrow.log_density_batch(thetas)
-        b = self.log_wts[1] + self.wide.log_density_batch(thetas)
-        return np.logaddexp(a, b)
-
-
-def _fd_curvature(fn, center: np.ndarray) -> np.ndarray:
-    """Central-difference negative Hessian of a scalar function."""
+def _fd_curvature(fn_batch, center: np.ndarray) -> np.ndarray:
+    """Central-difference negative Hessian of a function given per parameter
+    row; the whole stencil, 1 + 2d + 2d(d-1) rows, is one ``fn_batch`` call."""
     dim = center.size
     h = 1e-4 * np.maximum(1.0, np.abs(center))
-    hess = np.empty((dim, dim))
-    f0 = fn(center)
-    for j in range(dim):
-        ej = np.zeros(dim)
-        ej[j] = h[j]
-        hess[j, j] = (fn(center + ej) - 2.0 * f0 + fn(center - ej)) / h[j] ** 2
-        for k in range(j):
-            ek = np.zeros(dim)
-            ek[k] = h[k]
-            mixed = (
-                fn(center + ej + ek)
-                - fn(center + ej - ek)
-                - fn(center - ej + ek)
-                + fn(center - ej - ek)
-            ) / (4.0 * h[j] * h[k])
-            hess[j, k] = hess[k, j] = mixed
+    e = np.diag(h)
+    plus, minus = center + e, center - e  # row j: h_j added to, taken from, coordinate j
+    j, k = np.tril_indices(dim, -1)
+    mixed = [plus[j] + e[k], plus[j] - e[k], minus[j] + e[k], minus[j] - e[k]]
+    f = fn_batch(np.vstack([center, plus, minus, *mixed]))
+    fpp, fpm, fmp, fmm = f[1 + 2 * dim :].reshape(4, -1)
+    hess = np.diag((f[1 : 1 + dim] - 2.0 * f[0] + f[1 + dim : 1 + 2 * dim]) / h**2)
+    hess[j, k] = hess[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h[j] * h[k])
     return -hess
-
-
-def _log_functional_posterior(model, spec, prior, alpha):
-    """Log population objective plus log prior per parameter row; rows
-    outside the parameter space get -inf and are never evaluated."""
-
-    def fn_batch(thetas):
-        thetas = np.atleast_2d(thetas)
-        return _log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))
-
-    return fn_batch
 
 
 def _population_mode(fn_batch, model, spec) -> np.ndarray:
@@ -299,43 +262,35 @@ def functional_posterior_sample(
 ) -> FunctionalPosteriorSample:
     """Importance sample from the population pseudo-posterior.
 
-    The proposal is a two-scale Gaussian mixture centered at the maximizer of
-    the population objective plus log prior, with covariance from its
-    finite-difference curvature (inflated).  Draws outside the parameter
-    space are dropped, so the sample may hold fewer than ``mc.draws`` rows.
-    Raises ``DegenerateWeightsError`` when the effective sample size stays
-    below 50 after two widening retries.
+    The shared two-scale proposal is centered at the maximizer of the
+    population objective plus log prior, scaled by its finite-difference
+    curvature (the identity, noted in ``warnings``, if not positive definite).
+    Draws outside the parameter space are dropped, so the sample may hold
+    fewer than ``mc.draws`` rows.  Raises ``DegenerateWeightsError`` when the
+    effective sample size stays below 50 after two widening retries.
     """
-    fn_batch = _log_functional_posterior(model, spec, prior, alpha)
+
+    def fn_batch(thetas):  # log population objective plus log prior per row
+        return _log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))
+
     center = _population_mode(fn_batch, model, spec)
-    curvature = _fd_curvature(lambda th: float(fn_batch(np.atleast_2d(th))[0]), center)
-    dim = center.size
-    try:
-        cov = np.linalg.inv(curvature)
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        cov = np.eye(dim)
-    cov = 0.5 * (cov + cov.T)
-    rng = np.random.default_rng(mc.seed)
-    inflation = mc.proposal_inflation
-    last_error = None
-    for _ in range(3):
-        proposal = _TwoScaleProposal(center, inflation**2 * cov)
-        draws = proposal.sample_batch(rng, mc.draws)
-        inside = model.in_support(draws)
-        if not inside.all():
-            draws = draws[inside]
-        log_w = fn_batch(draws) - proposal.log_density_batch(draws)
-        try:
-            weights, ess = _normalised_weights(log_w, f" with inflation {inflation:g}")
-        except DegenerateWeightsError as exc:
-            last_error = exc
-            inflation *= 2.0
-            continue
-        return FunctionalPosteriorSample(
-            draws=draws, weights=weights, effective_sample_size=float(ess), center=center
-        )
-    raise last_error
+    curvature = _fd_curvature(fn_batch, center)
+    warnings = []
+    if not _is_pd(curvature):
+        curvature = np.eye(center.size)
+        warnings.append("curvature at the mode not positive definite; proposal uses the identity")
+    draws, weights, ess, inflation = _importance_sample(
+        model, spec, prior, alpha, center, curvature, np.random.default_rng(mc.seed), mc.draws
+    )
+    if warnings or inflation != _BASE_INFLATION:
+        warnings.append(f"weights accepted at proposal inflation {inflation:g}")
+    return FunctionalPosteriorSample(
+        draws=draws,
+        weights=weights,
+        effective_sample_size=float(ess),
+        center=center,
+        warnings=tuple(warnings),
+    )
 
 
 # ---------------------------------------------------------------------------

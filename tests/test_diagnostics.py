@@ -15,7 +15,7 @@ from dpdbayes import (
     posterior_mean_replications,
 )
 from dpdbayes.diagnostics import InsufficientSampleError, _anderson_darling_normal
-from dpdbayes.models import LinearKnownSigma, LinearUnknownSigma
+from dpdbayes.models import LinearKnownSigma, LinearUnknownSigma, Logistic
 from dpdbayes.posterior import PosteriorChain
 
 
@@ -135,6 +135,7 @@ class TestReplications:
             model, [5.0, 2.0], 0.25, replications=60, seed=5
         )
         assert report.failures == 0
+        assert report.failures_by_kind == {}
         assert report.scaled_sigma_var is None
         target = report.upsilon_beta_target * np.eye(2)
         dev = np.linalg.norm(report.scaled_beta_cov - target) / np.linalg.norm(target)
@@ -157,6 +158,32 @@ class TestReplications:
         assert report.upsilon_sigma_target == pytest.approx(
             efficiency(0.2).upsilon_sigma
         )
+
+    def test_logistic_study_counts_failures_by_kind(self):
+        # Intercept and slope on 30 points with a steep true slope: 9 data
+        # sets are separated (flat fits, refused), and a few heavy-tailed
+        # small-n posteriors defeat the importance weights at every inflation.
+        design = np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30)])
+        report = posterior_mean_replications(Logistic(design), [0.0, 4.0], 0.3, 200, seed=1)
+        assert report.failures_by_kind["FitNotConvergedError"] == 9
+        assert report.failures_by_kind.get("DegenerateWeightsError", 0) <= 10
+        assert set(report.failures_by_kind) <= {"FitNotConvergedError", "DegenerateWeightsError"}
+        assert report.failures == sum(report.failures_by_kind.values())
+        assert report.estimates.shape == (200 - report.failures, 2)
+
+    def test_an_undocumented_error_propagates(self):
+        class PriorWithoutBatch:
+            is_proper = True
+
+            def log_density(self, theta):
+                return 0.0
+
+        gen = np.random.default_rng(31)
+        model = LinearKnownSigma(np.column_stack([np.ones(40), gen.standard_normal(40)]), 1.0)
+        with pytest.raises(AttributeError, match="log_density_batch"):
+            posterior_mean_replications(
+                model, [5.0, 2.0], 0.25, 5, seed=5, prior=PriorWithoutBatch()
+            )
 
     def test_anderson_darling_statistic_pinned(self):
         # Value of scipy.stats.anderson(x).statistic for this sample (SciPy 1.17).

@@ -18,6 +18,7 @@ from dpdbayes import (
     FitNotConvergedError,
     FlatPrior,
     GaussianPrior,
+    InModel,
     LinearKnownSigma,
     LinearUnknownSigma,
     Logistic,
@@ -36,7 +37,7 @@ from dpdbayes import (
     squared_error_loss,
 )
 from dpdbayes import fit as fit_mdpde
-from dpdbayes.posterior import PosteriorChain, _log_posterior_rows
+from dpdbayes.posterior import PosteriorChain, _importance_sample, _log_posterior_rows
 
 
 class _SolveTriangularPrior(GaussianPrior):
@@ -476,3 +477,31 @@ class TestImportanceSampling:
         proposal = GaussianPrior([5.0], [[0.1]])
         with pytest.raises(ValueError, match="1000"):
             importance_expectation(model, data, prior, 0.3, lambda th: th, proposal, 100, 5)
+
+
+class TestTwoScaleImportanceSampler:
+    """The one proposal and retry rule shared by replication studies and
+    population posteriors: inflation 1.5, then 3, then 6."""
+
+    def test_a_too_narrow_proposal_is_widened_once(self):
+        # The curvature is 1000 times the posterior's (n + 1 = 21), so the
+        # first proposal is about 30 times too narrow.
+        model = LinearKnownSigma(np.ones((20, 1)), 1.0)
+        spec, prior = InModel(np.array([5.0])), GaussianPrior([5.0], [[1.0]])
+        draws, weights, ess, inflation = _importance_sample(
+            model, spec, prior, 0.0, np.array([5.0]), np.array([[21_000.0]]),
+            np.random.default_rng(1), 2000,
+        )
+        assert inflation == 3.0
+        assert ess >= 50.0
+        assert draws.shape == (2000, 1)
+        assert weights.sum() == pytest.approx(1.0)
+
+    def test_the_third_collapse_propagates(self):
+        model = LinearKnownSigma(np.ones((20, 1)), 1.0)
+        spec, prior = InModel(np.array([5.0])), GaussianPrior([5.0], [[1.0]])
+        with pytest.raises(DegenerateWeightsError, match="with inflation 6$"):
+            _importance_sample(
+                model, spec, prior, 0.0, np.array([10.0]), np.array([[2100.0]]),
+                np.random.default_rng(1), 2000,
+            )

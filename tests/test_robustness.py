@@ -22,6 +22,7 @@ from dpdbayes import (
     McConfig,
     ModelFamily,
     OneDirection,
+    UniformBoxPrior,
     breakdown_experiment,
     contamination_score,
     influence_bayes_estimate,
@@ -326,6 +327,90 @@ class TestFunctionalPosteriorSample:
         assert sample.effective_sample_size >= 50.0
         assert np.all(sample.draws[:, 1] > 0.0)
         assert sample.weights.sum() == pytest.approx(1.0)
+
+
+    def test_a_singular_curvature_falls_back_to_the_identity(self):
+        # The second coefficient multiplies an all-zero column and the box
+        # prior is flat inside, so the finite-difference curvature is singular.
+        model = LinearKnownSigma(np.column_stack([np.ones(20), np.zeros(20)]), 1.0)
+        prior = UniformBoxPrior([0.0, -1.0], [10.0, 1.0])
+        sample = functional_posterior_sample(
+            model, InModel([5.0, 0.0]), prior, 0.5, McConfig(seed=3, draws=5000)
+        )
+        assert sample.warnings == (
+            "curvature at the mode not positive definite; proposal uses the identity",
+            "weights accepted at proposal inflation 1.5",
+        )
+        assert sample.effective_sample_size >= 50.0
+
+    def test_a_regular_sample_has_no_warnings(self, location_setup):
+        model, spec, prior = location_setup
+        sample = functional_posterior_sample(model, spec, prior, 0.5, McConfig(seed=3, draws=2000))
+        assert sample.warnings == ()
+
+
+def _fd_curvature_one_row_at_a_time(fn, center):
+    """The finite-difference curvature as a loop of scalar evaluations, one
+    per stencil point: the reference for the one-call stencil."""
+    dim = center.size
+    h = 1e-4 * np.maximum(1.0, np.abs(center))
+    hess = np.empty((dim, dim))
+    f0 = fn(center)
+    for j in range(dim):
+        ej = np.zeros(dim)
+        ej[j] = h[j]
+        hess[j, j] = (fn(center + ej) - 2.0 * f0 + fn(center - ej)) / h[j] ** 2
+        for k in range(j):
+            ek = np.zeros(dim)
+            ek[k] = h[k]
+            mixed = (
+                fn(center + ej + ek)
+                - fn(center + ej - ek)
+                - fn(center - ej + ek)
+                + fn(center - ej - ek)
+            ) / (4.0 * h[j] * h[k])
+            hess[j, k] = hess[k, j] = mixed
+    return -hess
+
+
+def _stencil_case(case):
+    z = np.column_stack([np.ones(50), np.random.default_rng(7).standard_normal(50)])
+    if case == "known-sigma":
+        return LinearKnownSigma(np.ones((20, 1)), 1.0), InModel([5.0]), GaussianPrior([5.0], [[1.0]])
+    if case == "known-sigma-contaminated":
+        spec = Contaminated(np.array([5.0]), 0.3, 100.0)
+        return LinearKnownSigma(np.ones((20, 1)), 1.0), spec, GaussianPrior([5.0], [[1.0]])
+    if case == "unknown-sigma":
+        return LinearUnknownSigma(z), InModel([5.0, 2.0, 1.0]), GaussianPrior.isotropic([5.0, 2.0, 1.0], 10.0)
+    return Logistic(z), InModel([0.5, -1.0]), GaussianPrior.isotropic([0.0, 0.0], 10.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("case", ["known-sigma", "known-sigma-contaminated", "unknown-sigma", "logistic"])
+def test_curvature_stencil_is_one_call_with_the_loop_values(case, alpha):
+    model, spec, prior = _stencil_case(case)
+    calls = []
+
+    def fn_batch(thetas):
+        calls.append(thetas.shape[0])
+        return robustness._log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))
+
+    center = robustness._population_mode(fn_batch, model, spec)
+    calls.clear()
+    got = robustness._fd_curvature(fn_batch, center)
+    dim = model.dim
+    assert calls == [1 + 2 * dim + 2 * dim * (dim - 1)]
+    expected = _fd_curvature_one_row_at_a_time(lambda th: float(fn_batch(th[None, :])[0]), center)
+    if case != "logistic":
+        assert np.array_equal(got, expected)
+    else:
+        # A multi-row logistic block goes through gemm, a single row through
+        # gemv, and their linear predictors differ in the last bits.  The
+        # curvature may then move by the stencil's own rounding error,
+        # eps |f| / (h_j h_k).
+        h = 1e-4 * np.maximum(1.0, np.abs(center))
+        rounding = np.finfo(float).eps * abs(fn_batch(center[None, :])[0]) / np.outer(h, h)
+        assert np.all(np.abs(got - expected) <= 8.0 * rounding)
 
 
 class TestInfluence:

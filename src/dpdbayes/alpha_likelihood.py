@@ -120,10 +120,10 @@ def alpha_likelihood(
     if not derivatives:
         return AlphaLikelihoodValue(value=value, alpha=alpha)
     scale = -1.0 / (1.0 + alpha)
-    grad = scale * model.loss_grad_sum(x, theta, alpha)
-    hess = scale * model.loss_hess_sum(x, theta, alpha)
+    grad, hess = model.loss_derivative_sums(x, theta, alpha)
+    hess = scale * hess
     hess = 0.5 * (hess + hess.T)
-    return AlphaLikelihoodValue(value=value, alpha=alpha, gradient=grad, hessian=hess)
+    return AlphaLikelihoodValue(value=value, alpha=alpha, gradient=scale * grad, hessian=hess)
 
 
 def _in_row_blocks(kernel, thetas: np.ndarray, n: int, values: int) -> np.ndarray:

@@ -140,7 +140,11 @@ class Config:
             raise CliError(f"{sec}.{key} must be an integer") from None
 
     def get_bool(self, sec: str, key: str) -> bool:
-        return self.get(sec, key).strip().lower() in {"1", "true", "yes", "on"}
+        word = self.get(sec, key).strip().lower()
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[word]
+        except KeyError:
+            raise CliError(f"{sec}.{key} must be true or false, got {word!r}") from None
 
     def get_floats(self, sec: str, key: str) -> list[float]:
         raw = self.get(sec, key)
@@ -150,16 +154,15 @@ class Config:
             raise CliError(f"{sec}.{key} must be a comma-separated number list") from None
 
     def get_ints(self, sec: str, key: str) -> list[int]:
-        return [int(v) for v in self.get_floats(sec, key)]
+        values = self.get_floats(sec, key)
+        if not all(v.is_integer() for v in values):
+            raise CliError(f"{sec}.{key} must be a comma-separated integer list")
+        return [int(v) for v in values]
 
     def seed(self) -> int:
-        raw = self._values.get(("sampler", "seed"))
-        if raw is None:
+        if ("sampler", "seed") not in self._values:
             raise CliError("a seed is mandatory: set sampler.seed or pass --seed")
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError("sampler.seed must be an integer") from None
+        return self.get_int("sampler", "seed")
 
     def digest(self) -> str:
         """Canonical configuration hash; the output directory is excluded so
@@ -208,6 +211,14 @@ def _build_model(config: Config, design: np.ndarray):
     if family == "logistic":
         return Logistic(design)
     raise CliError(f"unknown model family {family!r}")
+
+
+def _experiment_model(config: Config, design: np.ndarray):
+    # influence, breakdown and bvm are written for the known-scale linear family.
+    family = config.get("model", "family").lower()
+    if family != "linear":
+        raise CliError(f"this subcommand runs model.family = linear only, not {family!r}")
+    return _build_model(config, design)
 
 
 def _per_coordinate(config: Config, key: str, dim: int) -> np.ndarray:
@@ -361,9 +372,7 @@ def _cmd_are_table(args, config: Config) -> int:
 
 
 def _cmd_influence(args, config: Config) -> int:
-    design = _experiment_design(config)
-    sigma = config.get_float("model", "sigma")
-    model = LinearKnownSigma(design, sigma)
+    model = _experiment_model(config, _experiment_design(config))
     beta_g = np.array([config.get_float("experiment", "beta_g")])
     spec = InModel(beta_g)
     prior = _build_prior(config, model.dim)
@@ -395,8 +404,7 @@ def _cmd_influence(args, config: Config) -> int:
 
 
 def _cmd_breakdown(args, config: Config) -> int:
-    design = np.ones((config.get_int("experiment", "n"), 1))
-    model = LinearKnownSigma(design, config.get_float("model", "sigma"))
+    model = _experiment_model(config, np.ones((config.get_int("experiment", "n"), 1)))
     beta_g = np.array([config.get_float("experiment", "beta_g")])
     prior = _build_prior(config, model.dim)
     seed = config.seed()
@@ -428,7 +436,6 @@ def _cmd_breakdown(args, config: Config) -> int:
 
 
 def _cmd_bvm(args, config: Config) -> int:
-    sigma = config.get_float("model", "sigma")
     beta_g = np.array([config.get_float("experiment", "beta_g")])
     alpha = config.get_float("sampler", "alpha")
     digest = config.digest()
@@ -436,25 +443,23 @@ def _cmd_bvm(args, config: Config) -> int:
     rows: list[list] = []
     for n in config.get_ints("experiment", "n_grid"):
         design = np.ones((n, 1))
-        model = LinearKnownSigma(design, sigma)
+        model = _experiment_model(config, design)
         prior = _build_prior(config, model.dim)
         sw_true = mdpde.sandwich(model, InModel(beta_g), beta_g, alpha)
         for seed in config.get_ints("experiment", "seeds"):
             rng = np.random.default_rng(1000 * seed + n)
             data = Dataset(model.sample_responses(beta_g, rng), design)
-            fit_res = mdpde.fit(model, data, alpha)
+            theta_hat = mdpde.fit(model, data, alpha).converged_estimate()
             cfg = posterior.SamplerConfig(
                 seed=seed,
                 chain_length=config.get_int("sampler", "chain_length"),
                 burn_in=config.get_int("sampler", "burn_in"),
             )
-            chain = posterior.sample(model, data, prior, alpha, cfg)
-            report = diagnostics.bvm_distance(
-                chain, fit_res.theta_hat, sw_true.psi, n, "psi_at_theta_g"
-            )
-            sw_obs = mdpde.sandwich(model, data, fit_res.theta_hat, alpha)
+            chain = posterior.sample(model, data, prior, alpha, cfg, start=theta_hat)
+            report = diagnostics.bvm_distance(chain, theta_hat, sw_true.psi, n, "psi_at_theta_g")
+            sw_obs = mdpde.sandwich(model, data, theta_hat, alpha)
             report_hat = diagnostics.bvm_distance(
-                chain, fit_res.theta_hat, sw_obs.psi_hat, n, "psi_hat_at_theta_hat"
+                chain, theta_hat, sw_obs.psi_hat, n, "psi_hat_at_theta_hat"
             )
             rows.append(
                 [float(alpha), n, seed, float(report.tv_estimate),

@@ -139,8 +139,8 @@ def laplace_expectation(
     theta_hat = _fit_if_needed(model, data, alpha, theta_hat)
     if not np.isfinite(prior.log_density(theta_hat)):
         raise ValueError("prior has zero density at the mode")
-    # Validates the curvature as a side effect.
-    laplace_integral(model, data, lambda th: math.exp(prior.log_density(th)), alpha, theta_hat)
+    # Validates the curvature; the weight is 1, as the prior density may underflow.
+    laplace_integral(model, data, lambda th: 1.0, alpha, theta_hat)
     return np.atleast_1d(np.asarray(h(theta_hat), dtype=float))
 
 

@@ -141,7 +141,8 @@ def _newton_ascent(
     alpha: float,
     grad_tol: float,
     max_iter: int,
-) -> MdpdeResult:
+) -> tuple[MdpdeResult, np.ndarray]:
+    """Newton ascent from ``theta``: its result and the curvature at its last point."""
     armijo_c = 1e-4
     theta = np.array(theta, dtype=float)
     state = alpha_likelihood(model, data, theta, alpha, derivatives=True)
@@ -150,7 +151,7 @@ def _newton_ascent(
         grad = state.gradient
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= grad_tol:
-            return MdpdeResult(theta, state.value, iterations - 1, True, gnorm)
+            return MdpdeResult(theta, state.value, iterations - 1, True, gnorm), -state.hessian
         curvature = -state.hessian
         if _is_pd(curvature):
             direction = np.linalg.solve(curvature, grad)
@@ -174,7 +175,7 @@ def _newton_ascent(
         if not accepted:
             break
     gnorm = float(np.linalg.norm(state.gradient))
-    return MdpdeResult(theta, state.value, iterations, gnorm <= grad_tol, gnorm)
+    return MdpdeResult(theta, state.value, iterations, gnorm <= grad_tol, gnorm), -state.hessian
 
 
 def fit(
@@ -221,7 +222,7 @@ def fit(
     result = None
     for stage_alpha in stages:
         try:
-            result = _newton_ascent(model, data, theta, stage_alpha, tol, max_iter)
+            result, curvature = _newton_ascent(model, data, theta, stage_alpha, tol, max_iter)
         except np.linalg.LinAlgError as exc:
             raise SingularHessianError(
                 f"curvature matrix is singular ({exc}); check the design for rank deficiency"
@@ -231,8 +232,8 @@ def fit(
         if not result.converged:
             break
     assert result is not None
-    curvature = -alpha_likelihood(model, data, theta, alpha, derivatives=True).hessian
-    # The same Cholesky test as laplace_integral's, so a converged fit expands.
+    # A converged result ended its last stage, at alpha, so the curvature is at
+    # (theta, alpha).  The Cholesky test is laplace_integral's: a converged fit expands.
     # A full-rank design fails it only where the start was far from the data
     # and every f_i^a vanished: a flat stationary point, not a bad design.
     if result.converged and not _is_pd(curvature):

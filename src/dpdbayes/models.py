@@ -16,10 +16,12 @@ analysis), the first and second parameter derivatives of the divergence loss
 and their in-model expectations (for asymptotic covariances).  A family
 writes each quantity once, as a kernel batched over rows of parameters and
 over a block of observation indices ``rows`` (a slice or an index array);
-the derivative kernels take one parameter point and sum over the block.
-The full-data single-parameter methods (``*_terms``, ``summed_q_value``) and
-the per-index ones (``log_density``, ``density_power``, ``integral_power``,
-``dpd_loss*``) are slices of those kernels, defined once on ``ModelFamily``.
+the one derivative kernel, ``loss_derivative_sums``, takes one parameter
+point and sums the gradient and the Hessian over the block.  The full-data
+single-parameter methods (``*_terms``, ``summed_q_value``, ``loss_grad_sum``,
+``loss_hess_sum``) and the per-index ones (``log_density``, ``density_power``,
+``integral_power``, ``dpd_loss*``) are slices of those kernels, defined once
+on ``ModelFamily``.
 A family may override the hot paths with in-place kernels:
 ``summed_q_value_batch`` for the samplers, and ``contamination_terms`` with
 ``summed_contamination_scores`` for the robustness grids.  What the other
@@ -188,12 +190,13 @@ def check_design_conditions(design: np.ndarray) -> DesignConditionReport:
     min_eig = float(eigvals[0])
     max_eig = float(eigvals[-1])
     full_rank = min_eig > RANK_TOLERANCE * max(max_eig, 1e-300)
-    # Leverage via pseudo-inverse so rank-deficient designs still report.
-    hat = z @ np.linalg.pinv(gram) @ z.T
+    # Leverages z_i'(Z'Z)^+ z_i as row sums, O(np) with no n-by-n hat matrix;
+    # the pseudo-inverse lets rank-deficient designs still report.
+    leverages = np.einsum("ij,ij->i", z @ np.linalg.pinv(gram), z)
     return DesignConditionReport(
         max_abs_entry=float(np.max(np.abs(z))),
         min_eigenvalue_scaled=min_eig if full_rank else 0.0,
-        max_leverage=float(np.max(np.diag(hat))),
+        max_leverage=float(np.max(leverages)),
         full_column_rank=bool(full_rank),
     )
 
@@ -315,12 +318,11 @@ class ModelFamily(ABC):
         with G_i in-model at theta_true."""
 
     @abstractmethod
-    def loss_grad_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
-        """Sum over the block of the parameter gradient of V_i(x_i, theta)."""
-
-    @abstractmethod
-    def loss_hess_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
-        """Sum over the block of the parameter Hessian of V_i(x_i, theta)."""
+    def loss_derivative_sums(
+        self, x, theta: np.ndarray, alpha: float, rows=slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sums over the block of the parameter gradient and Hessian of
+        V_i(x_i, theta), as a (dim,) and a (dim, dim) array."""
 
     @abstractmethod
     def in_model_psi_omega(
@@ -421,6 +423,14 @@ class ModelFamily(ABC):
         """integral of log f_{i,theta} dG_i with G_i in-model at theta_true."""
         return self.log_density_expectation_batch(theta, theta_true)[0]
 
+    def loss_grad_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
+        """The gradient of ``loss_derivative_sums``."""
+        return self.loss_derivative_sums(x, theta, alpha, rows)[0]
+
+    def loss_hess_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
+        """The Hessian of ``loss_derivative_sums``."""
+        return self.loss_derivative_sums(x, theta, alpha, rows)[1]
+
     def log_density(self, i, x, theta):
         """log f_i(x) at an index or an index array."""
         out = self.log_density_batch(x, self.validate_theta(theta), self._check_index(i))[0]
@@ -497,7 +507,7 @@ class LinearKnownSigma(ModelFamily):
     independent of the index and of beta.  The kernels are written for a
     free scale, which ``_split`` pins to ``sigma`` here; ``LinearUnknownSigma``
     reads it from the parameter instead, so each Gaussian formula exists
-    once.  The derivative kernels add the scale entries only when the scale
+    once.  The derivative kernel adds the scale entries only when the scale
     is free, and psi/omega return the leading ``dim`` block.
     """
 
@@ -602,38 +612,29 @@ class LinearKnownSigma(ModelFamily):
         np.expm1(work, out=work)
         return np.einsum("ij,ij->i", work, weights)
 
-    def _pieces(self, x, theta, alpha, rows):
+    def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
         beta, sigma = self._split(theta)
         z = self.design[rows]
         w = (np.asarray(x, dtype=float) - z @ beta) / sigma
         u = np.exp(-0.5 * alpha * w * w)
-        return z, sigma, w, u, math.exp(alpha * _log_norm(sigma))
-
-    def loss_grad_sum(self, x, theta, alpha, rows=slice(None)):
-        z, sigma, w, u, c = self._pieces(x, theta, alpha, rows)
+        c = math.exp(alpha * _log_norm(sigma))
+        s2 = sigma**2
         g_beta = -(1.0 + alpha) * (c / sigma) * (z.T @ (w * u))
+        h_bb = (1.0 + alpha) * (c / s2) * (z.T @ ((u * (1.0 - alpha * w * w))[:, None] * z))
         if self.scale_index is None:
-            return g_beta
+            return g_beta, h_bb
         g_sigma = -w.size * alpha * c * (1.0 + alpha) ** -0.5 / sigma - (1.0 + alpha) * (
             c / sigma
         ) * np.sum(u * (w * w - 1.0))
-        return np.append(g_beta, g_sigma)
-
-    def loss_hess_sum(self, x, theta, alpha, rows=slice(None)):
-        z, sigma, w, u, c = self._pieces(x, theta, alpha, rows)
-        s2 = sigma**2
-        h_bb = (1.0 + alpha) * (c / s2) * (z.T @ ((u * (1.0 - alpha * w * w))[:, None] * z))
-        if self.scale_index is None:
-            return h_bb
         p = z.shape[1]
-        out = np.empty((p + 1, p + 1))
-        out[:p, :p] = h_bb
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = h_bb
         h_bs_w = (1.0 + alpha) * (c / s2) * w * u * ((alpha + 2.0) - alpha * w * w)
-        out[:p, p] = out[p, :p] = z.T @ h_bs_w
-        out[p, p] = w.size * alpha * math.sqrt(1.0 + alpha) * c / s2 - (1.0 + alpha) * (
+        hess[:p, p] = hess[p, :p] = z.T @ h_bs_w
+        hess[p, p] = w.size * alpha * math.sqrt(1.0 + alpha) * c / s2 - (1.0 + alpha) * (
             c / s2
         ) * np.sum(u * (alpha * w**4 - (2.0 * alpha + 3.0) * w * w + (alpha + 1.0)))
-        return out
+        return np.append(g_beta, g_sigma), hess
 
     def summed_q_value_batch(self, x, thetas, alpha):
         # Hot path for samplers; one large scratch array, updated in place.
@@ -797,8 +798,9 @@ class Logistic(ModelFamily):
         log_g1, log_g0 = self._log_p_rows(theta_true, rows)
         return np.exp(log_g1) * log_p1 + np.exp(log_g0) * log_p0
 
-    def _loss_derivatives(self, x, theta, alpha, rows):
-        t = self.design[rows] @ theta
+    def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
+        z = self.design[rows]
+        t = z @ theta
         x = np.asarray(x, dtype=float)
         log_p1, log_p0 = self._log_p(t)
         pi = np.exp(log_p1)
@@ -815,16 +817,7 @@ class Logistic(ModelFamily):
             + q0 * ((1.0 + alpha) * pi**2 - var_term)
             - px_a * (alpha * (x - pi) ** 2 - var_term)
         )
-        return dv, d2v
-
-    def loss_grad_sum(self, x, theta, alpha, rows=slice(None)):
-        dv, _ = self._loss_derivatives(x, theta, alpha, rows)
-        return self.design[rows].T @ dv
-
-    def loss_hess_sum(self, x, theta, alpha, rows=slice(None)):
-        _, d2v = self._loss_derivatives(x, theta, alpha, rows)
-        z = self.design[rows]
-        return z.T @ (d2v[:, None] * z)
+        return z.T @ dv, z.T @ (d2v[:, None] * z)
 
     def summed_q_value_batch(self, x, thetas, alpha):
         # Hot path for samplers; four (m, n) scratch arrays, updated in place,
@@ -967,20 +960,20 @@ class QuadratureFamily(ModelFamily):
             [(fn(theta + e) - fn(theta - e)) / (2.0 * e[j]) for j, e in enumerate(steps)]
         )
 
-    def _q_grad(self, i, x, theta, alpha) -> np.ndarray:
-        q = self._q_term
-        return self._central_difference(lambda th: q(i, x, th, alpha), theta, self._FD_STEP)
+    def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
+        fd = self._central_difference
 
-    def loss_grad_sum(self, x, theta, alpha, rows=slice(None)):
-        grads = self._tabulate(theta, rows, lambda i, v, th: self._q_grad(i, v, th, alpha), x)
-        return -(1.0 + alpha) * grads[0].sum(axis=0)
+        def derivatives(i, v):
+            def q_grad(t):
+                return fd(lambda s: self._q_term(i, v, s, alpha), t, self._FD_STEP)
 
-    def loss_hess_sum(self, x, theta, alpha, rows=slice(None)):
-        def hess(i, v, th):
-            h = self._central_difference(lambda t: self._q_grad(i, v, t, alpha), th, 1e-5)
-            return 0.5 * (h + h.T)
+            h = fd(q_grad, theta, 1e-5)
+            return q_grad(theta), 0.5 * (h + h.T)
 
-        return -(1.0 + alpha) * self._tabulate(theta, rows, hess, x)[0].sum(axis=0)
+        idx = np.arange(self.n)[rows]
+        pts = np.broadcast_to(np.asarray(x, dtype=float), idx.shape)
+        grads, hessians = zip(*(derivatives(int(i), float(v)) for i, v in zip(idx, pts)))
+        return -(1.0 + alpha) * np.sum(grads, axis=0), -(1.0 + alpha) * np.sum(hessians, axis=0)
 
     def in_model_psi_omega(self, theta, alpha):
         raise NotImplementedError(

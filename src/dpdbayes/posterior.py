@@ -387,13 +387,13 @@ def _proposal_factor(model, data, alpha, theta_hat, config, warnings):
         return config.proposal_scale * np.eye(dim)
     curv = -alpha_likelihood(model, data, theta_hat, alpha, derivatives=True).hessian
     ridge = 0.0
-    while True:
-        try:
-            chol = np.linalg.cholesky(curv + ridge * np.eye(dim))
-            break
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 10.0, 1e-8 * max(np.trace(curv) / dim, 1.0))
-            warnings.append("curvature not positive definite; proposal regularized")
+    while not mdpde._is_pd(curv + ridge * np.eye(dim)):
+        ridge = max(ridge * 10.0, 1e-8 * max(np.trace(curv) / dim, 1.0))
+    if ridge > 0.0:
+        warnings.append(
+            f"curvature not positive definite; proposal regularized with ridge {ridge:.3g}"
+        )
+    chol = np.linalg.cholesky(curv + ridge * np.eye(dim))
     scale = 2.38 / math.sqrt(dim)
     return scale * np.linalg.inv(chol).T
 

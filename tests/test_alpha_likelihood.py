@@ -278,6 +278,22 @@ class TestObjectiveDerivatives:
                 assert np.max(np.abs(state.hessian[j] - fd_row) / scale) < 1e-6
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_logistic_derivatives_take_one_softplus_pass(self, alpha, logistic_problem, monkeypatch):
+        # One pass for the value and one for both derivatives.
+        model, data, beta = logistic_problem
+        models = importlib.import_module("dpdbayes.models")
+        tail, calls = models._softplus_tail, []
+
+        def counted(t, out=None):
+            calls.append(t.shape)
+            return tail(t, out)
+
+        monkeypatch.setattr(models, "_softplus_tail", counted)
+        alpha_likelihood(model, data, beta, alpha, derivatives=True)
+        assert len(calls) == 2
+
+
 class TestFunctional:
     def test_in_model_frozen_value(self):
         # theta = theta_g, sigma=1, alpha=1, one unit design point:

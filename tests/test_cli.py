@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from dpdbayes.cli import main
 from dpdbayes.models import LinearKnownSigma, Logistic
@@ -295,6 +296,52 @@ class TestConfigPlumbing:
         assert code == 0
         assert (target / "are_table.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestExperimentCommandsRefuseOtherFamilies:
+    @pytest.mark.parametrize("command", ["influence", "breakdown", "bvm"])
+    @pytest.mark.parametrize("family", ["logistic", "linear-unknown"])
+    def test_exits_one_without_output(self, command, family, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = main([command, "--seed", "1", "--model", family, "--out", str(outdir)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "model.family = linear" in err[0]
+        assert not list(outdir.glob("*.csv"))
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "setting", ["experiment.n_grid=25.9", "experiment.seeds=1.7", "experiment.seeds=1,inf"]
+    )
+    def test_non_integer_list_exits_one(self, setting, tmp_path, capsys):
+        code = main(["bvm", "--seed", "1", "--out", str(tmp_path), "--set", setting])
+        assert code == 1
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err == f"error: {key} must be a comma-separated integer list\n"
+
+    def test_integral_float_list_entries_are_read(self):
+        from dpdbayes.cli import Config
+
+        config = Config()
+        config.set_override("experiment.seeds=1,2.0,3e1")
+        assert config.get_ints("experiment", "seeds") == [1, 2, 30]
+
+    def test_unknown_boolean_word_exits_one(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        code = main(["fit", str(data_path), "--set", "model.header=ture"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: model.header must be true or false, got 'ture'\n"
+
+    @pytest.mark.parametrize("word, value", [("Yes", True), ("on", True), ("0", False), ("off", False)])
+    def test_boolean_words(self, word, value):
+        from dpdbayes.cli import Config
+
+        config = Config()
+        config.set_override(f"model.header={word}")
+        assert config.get_bool("model", "header") is value
 
 
 class TestBvmCommand:

@@ -101,6 +101,17 @@ class TestLaplaceExpectation:
         value = laplace_expectation(model, data, prior, lambda th: th, 0.4)
         assert np.array_equal(value, point)
 
+    def test_prior_density_below_double_range_accepted(self):
+        # The log prior is about -788 at the mode, so its density underflows to 0.
+        design = np.ones((50, 1))
+        model = LinearKnownSigma(design, 1.0)
+        data = Dataset(40.0 + np.random.default_rng(5).standard_normal(50), design)
+        prior = GaussianPrior([0.0], [[1.0]])
+        point = fit(model, data, 0.0).theta_hat
+        assert prior.log_density(point) < -745.0
+        value = laplace_expectation(model, data, prior, lambda th: th, 0.0)
+        assert np.array_equal(value, point)
+
     def test_flat_prior_rejected(self, one_dim_problem):
         model, data = one_dim_problem(40)
         with pytest.raises(ValueError, match="proper prior"):

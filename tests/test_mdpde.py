@@ -18,6 +18,7 @@ from dpdbayes import (
     fit,
     sandwich,
 )
+from dpdbayes import mdpde
 from dpdbayes.diagnostics import efficiency
 
 
@@ -98,6 +99,23 @@ class TestFit:
         classical = fit(model, bad, 0.0)
         assert np.linalg.norm(robust.theta_hat - beta) < 0.5
         assert np.linalg.norm(classical.theta_hat - beta) > 1.5
+
+    @pytest.mark.parametrize("start", ["continuation", "optimum"])
+    def test_converged_fit_evaluates_the_optimum_once(self, start, logistic_problem, monkeypatch):
+        model, data, _ = logistic_problem
+        alpha = 0.3
+        init = None if start == "continuation" else fit(model, data, alpha).theta_hat
+        calls = []
+
+        def recorded(model, data, theta, alpha, derivatives=False):
+            calls.append((np.array(theta, dtype=float), alpha))
+            return alpha_likelihood(model, data, theta, alpha, derivatives)
+
+        monkeypatch.setattr(mdpde, "alpha_likelihood", recorded)
+        result = fit(model, data, alpha, init=init)
+        assert result.converged
+        at_optimum = [t for t, a in calls if a == alpha and np.array_equal(t, result.theta_hat)]
+        assert len(at_optimum) == 1
 
     def test_singular_design_raises(self):
         z = np.ones((10, 2))  # duplicated column

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -16,11 +17,14 @@ from dpdbayes import (
     LinearKnownSigma,
     LinearUnknownSigma,
     Logistic,
+    ModelFamily,
     QuadratureFamily,
+    alpha_likelihood,
     check_design_conditions,
     dpd_loss,
     dpd_loss_grad,
     dpd_loss_hess,
+    fit,
 )
 
 INV_SQRT_2PI = (2.0 * math.pi) ** -0.5
@@ -79,6 +83,27 @@ class TestDesignConditions:
     def test_wide_matrix_reported_not_raised(self):
         report = check_design_conditions(np.ones((1, 3)))
         assert not report.full_column_rank
+
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_leverage_is_the_hat_matrix_diagonal(self, collinear):
+        z = np.random.default_rng(3).standard_normal((40, 3))
+        if collinear:
+            z[:, 2] = z[:, 0] - z[:, 1]
+        hat = z @ np.linalg.pinv(z.T @ z) @ z.T
+        report = check_design_conditions(z)
+        assert abs(report.max_leverage - np.max(np.diag(hat))) <= 1e-12
+
+    def test_large_design_builds_no_n_by_n_matrix(self):
+        # The n-by-n hat matrix would take 3.2 GB; the leverages need O(np).
+        z = np.random.default_rng(4).standard_normal((20_000, 3))
+        tracemalloc.start()
+        try:
+            report = check_design_conditions(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.full_column_rank
+        assert peak < 8 * z.nbytes
 
 
 class TestLossTerm:
@@ -325,6 +350,66 @@ class TestQuadratureFamily:
             builtin.loss_grad_sum(x, theta, alpha),
             atol=1e-5,
         )
+
+
+class _OneDerivativeKernel(ModelFamily):
+    """A direct ``ModelFamily`` subclass with only the required methods,
+    each delegated to a built-in family."""
+
+    def __init__(self, inner):
+        super().__init__(inner.design)
+        self.inner = inner
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def log_density_batch(self, points, thetas, rows=slice(None)):
+        return self.inner.log_density_batch(points, thetas, rows)
+
+    def log_power_integral_batch(self, thetas, alpha, rows=slice(None)):
+        return self.inner.log_power_integral_batch(thetas, alpha, rows)
+
+    def log_power_expectation_batch(self, thetas, alpha, theta_true, rows=slice(None)):
+        return self.inner.log_power_expectation_batch(thetas, alpha, theta_true, rows)
+
+    def log_density_expectation_batch(self, thetas, theta_true, rows=slice(None)):
+        return self.inner.log_density_expectation_batch(thetas, theta_true, rows)
+
+    def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
+        return self.inner.loss_derivative_sums(x, theta, alpha, rows)
+
+    def in_model_psi_omega(self, theta, alpha):
+        return self.inner.in_model_psi_omega(theta, alpha)
+
+    def sample_responses(self, theta, rng):
+        return self.inner.sample_responses(theta, rng)
+
+
+@pytest.mark.parametrize("inner_name", ["known", "logistic"])
+def test_family_with_one_derivative_kernel_gets_every_derivative_route(
+    inner_name, linear_problem, logistic_problem
+):
+    inner, data, theta = linear_problem if inner_name == "known" else logistic_problem
+    model = _OneDerivativeKernel(inner)
+    x, alpha = data.responses, 0.4
+    grad, hess = inner.loss_derivative_sums(x, theta, alpha)
+    assert np.array_equal(model.loss_grad_sum(x, theta, alpha), grad)
+    assert np.array_equal(model.loss_hess_sum(x, theta, alpha), hess)
+    for i in (0, model.n - 1):
+        assert np.array_equal(
+            dpd_loss_grad(model, i, x[i], theta, alpha), dpd_loss_grad(inner, i, x[i], theta, alpha)
+        )
+        assert np.array_equal(
+            dpd_loss_hess(model, i, x[i], theta, alpha), dpd_loss_hess(inner, i, x[i], theta, alpha)
+        )
+    state = alpha_likelihood(model, data, theta, alpha, derivatives=True)
+    expected = alpha_likelihood(inner, data, theta, alpha, derivatives=True)
+    assert np.array_equal(state.gradient, expected.gradient)
+    assert np.array_equal(state.hessian, expected.hessian)
+    result = fit(model, data, alpha)
+    assert result.converged
+    assert np.allclose(result.theta_hat, fit(inner, data, alpha).theta_hat, rtol=0, atol=1e-8)
 
 
 def _slice_cases(gen):

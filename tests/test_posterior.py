@@ -283,6 +283,18 @@ class TestSampler:
         assert chain.acceptance_rate < 0.05
         assert any("acceptance rate" in w for w in chain.warnings)
 
+    def test_regularized_proposal_warns_once(self):
+        # Between two clusters of responses the a = 0.9 objective curves upward.
+        design = np.ones((30, 1))
+        model = LinearKnownSigma(design, 1.0)
+        noise = 0.1 * np.random.default_rng(2).standard_normal(30)
+        data = Dataset(np.repeat([0.0, 8.0], 15) + noise, design)
+        prior = GaussianPrior([4.0], [[100.0]])
+        cfg = SamplerConfig(seed=1, chain_length=200, burn_in=0)
+        chain = sample(model, data, prior, 0.9, cfg, start=[4.0])
+        regularized = [w for w in chain.warnings if "regularized" in w]
+        assert regularized == ["curvature not positive definite; proposal regularized with ridge 1"]
+
     def test_chain_csv_export(self, tmp_path, conjugate_chain):
         path = tmp_path / "chain.csv"
         conjugate_chain.to_csv(path)

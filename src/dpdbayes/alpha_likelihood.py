@@ -156,7 +156,12 @@ def alpha_likelihood_batch(
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     model.validate_data(data)
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    return _objective_rows(model, data, np.atleast_2d(np.asarray(thetas, dtype=float)), alpha)
+
+
+def _objective_rows(model: ModelFamily, data: Dataset, thetas: np.ndarray, alpha: float):
+    """``alpha_likelihood_batch`` of (m, dim) float rows without its checks,
+    for callers that checked alpha and the data once."""
 
     def kernel(block):
         return model.summed_q_value_batch(data.responses, block, alpha)

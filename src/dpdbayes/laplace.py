@@ -30,6 +30,7 @@ from scipy.stats import qmc
 from . import mdpde
 from .alpha_likelihood import alpha_likelihood, alpha_likelihood_batch
 from .models import Dataset, ModelFamily
+from .posterior import _check_inputs
 
 __all__ = [
     "LaplaceApproximation",
@@ -136,6 +137,7 @@ def laplace_expectation(
     """
     if not getattr(prior, "is_proper", False):
         raise ValueError("Laplace approximations require a proper prior")
+    _check_inputs(model, data, prior, alpha)
     theta_hat = _fit_if_needed(model, data, alpha, theta_hat)
     if not np.isfinite(prior.log_density(theta_hat)):
         raise ValueError("prior has zero density at the mode")

@@ -6,12 +6,21 @@ posterior.  Because Q is bounded for a > 0, the posterior is proper only
 under a proper prior; the improper flat prior is accepted here for completeness
 but the downstream integral approximations refuse it.
 
-Sampling is plain random-walk Metropolis with a Gaussian proposal whose
+Sampling is random-walk Metropolis with a Gaussian proposal whose
 covariance defaults to 2.38^2/p times the inverse observed curvature at the
-point estimate.  Chains are bit-reproducible for a fixed seed.  Posterior
-expectations can also be computed without a chain through self-normalized
-importance sampling, from a caller's Gaussian proposal or from the defensive
-two-scale proposal that data and population posteriors share.
+point estimate.  Chains are bit-reproducible for a fixed seed.  A
+one-parameter known-sigma chain prefetches (Brockwell 2006): one
+log-posterior call evaluates every candidate the next k steps could
+propose, 2^k - 1 rows, and the accept/reject path is read off it; the chain
+is the one that one call per step would give, bit for bit.  Other chains
+make one call per step: a block of rows with two or more parameters
+differs from single rows in the last bits, and the other families' row
+cost is not measured.
+
+Posterior expectations can also be computed without a chain through
+self-normalized importance sampling, from a caller's Gaussian proposal or
+from the defensive two-scale proposal that data and population posteriors
+share.
 """
 
 from __future__ import annotations
@@ -25,11 +34,11 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import mdpde
 from .alpha_likelihood import (
+    _objective_rows,
     alpha_likelihood,
-    alpha_likelihood_batch,
     alpha_likelihood_functional_batch,
 )
-from .models import Dataset, ModelFamily
+from .models import Dataset, LinearKnownSigma, ModelFamily
 
 __all__ = [
     "GaussianPrior",
@@ -89,28 +98,49 @@ class GaussianPrior:
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         object.__setattr__(self, "_log_norm", -0.5 * (mean.size * _LOG_2PI + logdet))
 
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
     @classmethod
     def isotropic(cls, mean, sd: float) -> "GaussianPrior":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         return cls(mean, sd**2 * np.eye(mean.size))
 
     def log_density(self, theta) -> float:
-        return float(self.log_density_batch(np.atleast_2d(theta))[0])
+        return float(self.log_density_rows(np.atleast_2d(theta))[0])
 
     def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
         dev = np.atleast_2d(thetas) - self.mean[None, :]
-        if not np.isfinite(dev).all():
+        # A finite sum needs finite terms; the full test runs only without one.
+        if not (math.isfinite(dev.sum()) or np.isfinite(dev).all()):
             raise ValueError("array must not contain infs or NaNs")
         # The C-ordered lower factor, transposed, is the Fortran-ordered upper
-        # factor: for dim > 1 this is the LAPACK call that
+        # factor: this is the LAPACK call that
         # solve_triangular(chol, dev.T, lower=True) makes, without its
-        # per-call wrapper cost (for dim = 1 both multiply by the reciprocal
-        # of the 1x1 factor, which differs from a division in the last bit).
-        # dev is a temporary, so it is solved in place.
+        # per-call wrapper cost.  dev is a temporary, so it is solved in place.
         y, info = dtrtrs(self._chol.T, dev.T, lower=False, trans=1, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-        return self._log_norm - 0.5 * np.sum(y * y, axis=0)
+        return self._log_norm - 0.5 * (y * y).sum(axis=0)
+
+    def log_density_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """(m,) values of ``log_density``, the rule that a sampler uses.
+
+        A one-parameter row is divided by the 1x1 Cholesky factor, alone or
+        in a block.  The LAPACK solve of ``log_density_batch`` (OpenBLAS
+        dtrtrs) multiplies a block by the reciprocal of the factor instead,
+        which differs from a division in the last bit, so a block's rows
+        would differ from single rows.  With more parameters this is
+        ``log_density_batch``: the sampler passes those one row at a time.
+        """
+        if self.mean.size > 1:
+            return self.log_density_batch(thetas)
+        dev = np.atleast_2d(thetas)[:, 0] - self.mean[0]
+        if not np.isfinite(dev).all():
+            raise ValueError("array must not contain infs or NaNs")
+        y = dev / self._chol[0, 0]
+        return self._log_norm - 0.5 * (y * y)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self._chol @ rng.standard_normal(self.mean.size)
@@ -137,6 +167,10 @@ class UniformBoxPrior:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
     def log_density(self, theta) -> float:
         return float(self.log_density_batch(np.atleast_2d(theta))[0])
 
@@ -154,7 +188,8 @@ class UniformBoxPrior:
 
 class FlatPrior:
     """Improper flat prior.  Allowed for sampling, rejected where a finite
-    prior integral is required (Laplace approximations)."""
+    prior integral is required (Laplace approximations).  It has no
+    dimension and fits every model."""
 
     is_proper = False
 
@@ -288,24 +323,55 @@ def huber_loss(delta: float) -> LossFunction:
     )
 
 
+def _check_inputs(model, data_or_spec, prior, alpha: float) -> None:
+    """The checks that ``_log_posterior_rows`` leaves to its callers, made
+    once per public call: alpha, the data against the design, and the
+    prior's dimension (a prior without a ``dim``, the flat prior, fits
+    every model)."""
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
+    if isinstance(data_or_spec, Dataset):
+        model.validate_data(data_or_spec)
+    size = getattr(prior, "dim", None)
+    if size is not None and size != model.dim:
+        raise ValueError(f"prior has dimension {size} but the model has {model.dim} parameters")
+
+
 def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
     """Add the objective Q to a caller's (m,) log base in place; return it.
 
-    Q is the observed-data objective for a ``Dataset`` and the population
-    objective for a true-distribution spec.  A row whose base is not finite
-    or that lies outside ``model.in_support`` gets -inf and is never passed
-    to the objective.  The base is a log prior, or a log prior minus a
-    proposal density: floating-point addition is not associative, so each
-    caller keeps its own order of terms.
+    ``thetas`` is an (m, dim) float array, and the caller has made the
+    checks of ``_check_inputs``.  Q is the observed-data objective for a
+    ``Dataset`` and the population objective for a true-distribution spec.
+    A row whose base is not finite or that lies outside ``model.in_support``
+    gets -inf and is never passed to the objective.  The base is a log
+    prior, or a log prior minus a proposal density: floating-point addition
+    is not associative, so each caller keeps its own order of terms.
     """
-    ok = np.isfinite(log_base) & model.in_support(thetas)
-    log_base[~ok] = -np.inf
-    if ok.any():
-        rows = thetas if ok.all() else thetas[ok]
-        if isinstance(data_or_spec, Dataset):
-            q = alpha_likelihood_batch(model, data_or_spec, rows, alpha)
+    if thetas.shape[0] == 1:
+        # A chain step at depth 1: scalar forms of the two tests (the
+        # support is the sign of the scale coordinate), not array calls.
+        scale = model.scale_index
+        if not (math.isfinite(log_base[0]) and (scale is None or thetas[0, scale] > 0.0)):
+            log_base[0] = -np.inf
+            return log_base
+        ok = None
+    else:
+        ok = np.isfinite(log_base) & model.in_support(thetas)
+        if np.count_nonzero(ok) == ok.size:
+            ok = None
         else:
-            q = alpha_likelihood_functional_batch(model, data_or_spec, rows, alpha)
+            log_base[~ok] = -np.inf
+            if not ok.any():
+                return log_base
+            thetas = thetas[ok]
+    if isinstance(data_or_spec, Dataset):
+        q = _objective_rows(model, data_or_spec, thetas, alpha)
+    else:
+        q = alpha_likelihood_functional_batch(model, data_or_spec, thetas, alpha)
+    if ok is None:
+        log_base += q
+    else:
         log_base[ok] += q
     return log_base
 
@@ -355,6 +421,7 @@ def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng
     Draws outside ``model.in_support`` are dropped, the rest weighted by
     (log prior + Q) - log proposal.  The inflation is ``_BASE_INFLATION``,
     doubled after each ``DegenerateWeightsError``, twice at most."""
+    _check_inputs(model, data_or_spec, prior, alpha)
     cov = np.linalg.inv(curvature)
     cov = 0.5 * (cov + cov.T)
     for retry in range(3):
@@ -376,6 +443,7 @@ def log_posterior_unnorm(
     model: ModelFamily, data: Dataset, prior, theta, alpha: float
 ) -> float:
     """Unnormalized log pseudo-posterior Q(theta) + log pi(theta)."""
+    _check_inputs(model, data, prior, alpha)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))[None, :]
     log_prior = prior.log_density_batch(thetas)
     return float(_log_posterior_rows(model, data, thetas, alpha, log_prior)[0])
@@ -398,6 +466,38 @@ def _proposal_factor(model, data, alpha, theta_hat, config, warnings):
     return scale * np.linalg.inv(chol).T
 
 
+#: Cost of one log-posterior call of m rows at n observations, in (row,
+#: observation) elements: about 30 µs per call plus 10 ns per element.  On a
+#: known-sigma location chain (a = 0.3, one BLAS thread, 2-vCPU VM, 11k
+#: steps, 3k at n = 10000) the depth this gives took this share of the CPU
+#: time of one call per step, as the median ratio of 10 alternating pairs,
+#: in two sessions: n = 25, k = 5: 0.42, 0.42; n = 100, k = 4: 0.52, 0.49;
+#: n = 400, k = 3: 0.63, 0.63; n = 2000, k = 2: 0.84, 0.90; n = 10000,
+#: k = 1: 0.97, 0.96.  Depths one off the pick differed from it by less than
+#: the run-to-run spread of the host (up to 15%).
+_CALL_COST_ELEMENTS = 3000
+#: Deepest prefetch: 2^6 - 1 = 63 rows per call.
+_MAX_DEPTH = 6
+
+
+def _prefetch_depth(model) -> int:
+    """Steps of a chain decided per log-posterior call: the depth k that
+    minimises the fitted cost per step, (call + n (2^k - 1) elements) / k.
+
+    The cost was fitted on the one-parameter known-sigma family, and only
+    that family prefetches; other families run at depth 1 until their own
+    row cost is measured.  With d >= 2 a block of rows goes through gemm
+    and a single row through gemv, whose results differ in the last bits,
+    so the chain would change.
+    """
+    if model.dim != 1 or not isinstance(model, LinearKnownSigma):
+        return 1
+    return min(
+        range(1, _MAX_DEPTH + 1),
+        key=lambda k: (_CALL_COST_ELEMENTS + model.n * ((1 << k) - 1)) / k,
+    )
+
+
 def sample(
     model: ModelFamily,
     data: Dataset,
@@ -415,53 +515,67 @@ def sample(
     outside [0.05, 0.7] is recorded as a warning on the chain, not an
     exception.
     """
-    model.validate_data(data)
+    _check_inputs(model, data, prior, alpha)
     rng = np.random.default_rng(config.seed)
     warnings: list[str] = []
 
-    x = data.responses
-    scale_index = model.scale_index
+    # The Gaussian prior values its rows one by one; the other priors'
+    # batch rows already are their single-row values.
+    prior_rows = getattr(prior, "log_density_rows", prior.log_density_batch)
 
-    # One row per step: through the batch rule _log_posterior_rows a step costs ~40% more.
-    def logpost(theta: np.ndarray) -> float:
-        lp = prior.log_density(theta)
-        if not math.isfinite(lp):
-            return -np.inf
-        if scale_index is not None and theta[scale_index] <= 0.0:
-            return -np.inf
-        return model.summed_q_value(x, theta, alpha) + lp
+    def log_post(rows: np.ndarray) -> list[float]:
+        return _log_posterior_rows(model, data, rows, alpha, prior_rows(rows)).tolist()
 
+    # The state is a (1, dim) row, as every log-posterior call takes rows,
+    # and so is each step.
     if start is not None:
-        current = model.validate_theta(np.asarray(start, dtype=float))
+        current = model.validate_theta(np.asarray(start, dtype=float))[None, :]
     else:
-        current = mdpde.fit(model, data, alpha).converged_estimate()
-    cur_lp = logpost(current)
+        current = mdpde.fit(model, data, alpha).converged_estimate()[None, :]
+    (cur_lp,) = log_post(current)
     tries = 0
     while not np.isfinite(cur_lp):
         if not getattr(prior, "is_proper", False) or tries >= 1000:
             raise NoFiniteStartError("could not find a starting point with finite posterior")
-        current = prior.sample(rng)
-        cur_lp = logpost(current)
+        current = np.atleast_2d(np.asarray(prior.sample(rng), dtype=float))
+        (cur_lp,) = log_post(current)
         tries += 1
 
     # Anchor the proposal at the (finite-posterior) starting point.
-    factor = _proposal_factor(model, data, alpha, current, config, warnings)
+    factor = _proposal_factor(model, data, alpha, current[0], config, warnings)
     total = config.burn_in + config.chain_length
-    steps = rng.standard_normal((total, model.dim)) @ factor.T
-    log_uniforms = np.log(rng.random(total))
+    steps = (rng.standard_normal((total, model.dim)) @ factor.T)[:, None, :]
+    log_uniforms = np.log(rng.random(total)).tolist()
 
     kept = config.chain_length // config.thinning
     draws = np.empty((kept, model.dim))
     log_posts = np.empty(kept)
     accepted_main = 0
     k = 0
+    depth = _prefetch_depth(model)
+    stop = 0
     for it in range(total):
-        candidate = current + steps[it]
-        cand_lp = logpost(candidate)
-        if cand_lp - cur_lp > log_uniforms[it]:
-            current, cur_lp = candidate, cand_lp
+        if it == stop:
+            # The candidates of steps it..stop-1 as a binary heap: the row at
+            # node i is proposed from the state its accept history reaches,
+            # and its children are the next step's candidates after a
+            # rejection (2i + 1) and after an acceptance (2i + 2).
+            stop = min(it + depth, total)
+            states = current
+            rows = level = current + steps[it]
+            for ahead in range(it + 1, stop):
+                states = np.concatenate((states, level), axis=1).reshape(-1, model.dim)
+                level = states + steps[ahead]
+                rows = np.concatenate((rows, level))
+            lps = log_post(rows)
+            node = 0
+        if lps[node] - cur_lp > log_uniforms[it]:
+            current, cur_lp = rows[node : node + 1], lps[node]
+            node = 2 * node + 2
             if it >= config.burn_in:
                 accepted_main += 1
+        else:
+            node = 2 * node + 1
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0 and k < kept:
             draws[k] = current
             log_posts[k] = cur_lp
@@ -553,6 +667,7 @@ def importance_expectation(
     """
     if m < 1000:
         raise ValueError("importance sampling needs at least 1000 draws")
+    _check_inputs(model, data_or_spec, prior, alpha)
     rng = np.random.default_rng(seed)
     draws = proposal.sample_batch(rng, m)
     log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)

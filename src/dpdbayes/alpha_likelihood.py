@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Dataset, ModelFamily
+from .models import Dataset, ModelFamily, _check_alpha
 
 __all__ = [
     "AlphaLikelihoodValue",
@@ -111,8 +111,7 @@ def alpha_likelihood(
         AlphaLikelihoodValue; per-index terms are accumulated with numpy's
         pairwise summation.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     theta = model.validate_theta(theta)
     model.validate_data(data)
     x = data.responses
@@ -153,8 +152,7 @@ def alpha_likelihood_batch(
 ) -> np.ndarray:
     """Objective values for many parameter points at once, as an (m,) array,
     computed in row blocks (``_in_row_blocks``)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     model.validate_data(data)
     return _objective_rows(model, data, np.atleast_2d(np.asarray(thetas, dtype=float)), alpha)
 
@@ -183,8 +181,6 @@ def alpha_likelihood_functional(
     integral plus eps times f_i^a at the contamination point.  At alpha = 0
     the term is the expected log density minus one.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
     theta = model.validate_theta(theta)
     vals = alpha_likelihood_functional_batch(model, spec, theta[None, :], alpha)
     return float(vals[0])
@@ -195,6 +191,7 @@ def alpha_likelihood_functional_batch(
 ) -> np.ndarray:
     """Vectorized population objective over rows of ``thetas``, computed in
     row blocks (``_in_row_blocks``)."""
+    _check_alpha(alpha)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not isinstance(spec, (InModel, Contaminated)):
         raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")

@@ -247,6 +247,15 @@ def _build_prior(config: Config, dim: int):
     raise CliError(f"unknown prior kind {kind!r}")
 
 
+def _sampler_config(config: Config, seed: int) -> posterior.SamplerConfig:
+    return posterior.SamplerConfig(
+        seed=seed,
+        chain_length=config.get_int("sampler", "chain_length"),
+        burn_in=config.get_int("sampler", "burn_in"),
+        thinning=config.get_int("sampler", "thinning"),
+    )
+
+
 def _experiment_design(config: Config) -> np.ndarray:
     n = config.get_int("experiment", "n")
     kind = config.get("experiment", "design").lower()
@@ -314,13 +323,7 @@ def _cmd_sample(args, config: Config) -> int:
             for j in range(model.dim)
         ]
     else:
-        cfg = posterior.SamplerConfig(
-            seed=seed,
-            chain_length=config.get_int("sampler", "chain_length"),
-            burn_in=config.get_int("sampler", "burn_in"),
-            thinning=config.get_int("sampler", "thinning"),
-        )
-        chain = posterior.sample(model, data, prior, alpha, cfg)
+        chain = posterior.sample(model, data, prior, alpha, _sampler_config(config, seed))
         chain.to_csv(outdir / "chain.csv")
         print(f"wrote {outdir / 'chain.csv'}")
         for warning in chain.warnings:
@@ -450,11 +453,7 @@ def _cmd_bvm(args, config: Config) -> int:
             rng = np.random.default_rng(1000 * seed + n)
             data = Dataset(model.sample_responses(beta_g, rng), design)
             theta_hat = mdpde.fit(model, data, alpha).converged_estimate()
-            cfg = posterior.SamplerConfig(
-                seed=seed,
-                chain_length=config.get_int("sampler", "chain_length"),
-                burn_in=config.get_int("sampler", "burn_in"),
-            )
+            cfg = _sampler_config(config, seed)
             chain = posterior.sample(model, data, prior, alpha, cfg, start=theta_hat)
             report = diagnostics.bvm_distance(chain, theta_hat, sw_true.psi, n, "psi_at_theta_g")
             sw_obs = mdpde.sandwich(model, data, theta_hat, alpha)

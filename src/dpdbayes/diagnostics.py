@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import mdpde
-from .models import Dataset, ModelFamily, _zeta
+from .models import Dataset, ModelFamily, _check_alpha, _zeta
 from .posterior import DegenerateWeightsError, GaussianPrior, PosteriorChain, _importance_sample
 
 __all__ = [
@@ -94,8 +94,7 @@ def _upsilon_sigma(alpha: float) -> float:
 
 def efficiency(alpha: float, sigma: float = 1.0) -> EfficiencyReport:
     """Closed-form efficiency constants for the linear model at one alpha."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     ub = _upsilon_beta(alpha)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood
-from .models import Dataset, ModelFamily, check_design_conditions
+from .models import Dataset, ModelFamily, _check_alpha, check_design_conditions
 
 __all__ = [
     "MdpdeResult",
@@ -41,6 +41,12 @@ CONTINUATION_STEP = 0.1
 #: family's ``curvature_unit`` at or below which an optimum is flat.  Regular
 #: fits read 0.01 to 2; separated logistic data reads 1e-7 and less.
 FLAT_CURVATURE = 1e-6
+
+#: Four ulps: a Newton decrement or step below this share of its scale is round-off.
+ROUNDOFF = 4.0 * float(np.finfo(float).eps)
+
+#: Gradient-norm stop per observation where the Newton decrement is undefined.
+GRAD_TOL = 1e-8
 
 
 class SingularHessianError(RuntimeError):
@@ -139,43 +145,37 @@ def _newton_ascent(
     data: Dataset,
     theta: np.ndarray,
     alpha: float,
-    grad_tol: float,
     max_iter: int,
 ) -> tuple[MdpdeResult, np.ndarray]:
     """Newton ascent from ``theta``: its result and the curvature at its last point."""
     armijo_c = 1e-4
     theta = np.array(theta, dtype=float)
     state = alpha_likelihood(model, data, theta, alpha, derivatives=True)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(max(max_iter, 0) + 1):
         grad = state.gradient
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
-            return MdpdeResult(theta, state.value, iterations - 1, True, gnorm), -state.hessian
         curvature = -state.hessian
         if _is_pd(curvature):
             direction = np.linalg.solve(curvature, grad)
+            slope = float(grad @ direction)  # the Newton decrement
+            converged = slope <= ROUNDOFF * max(1.0, abs(state.value))
         else:
-            scale = max(float(np.abs(np.diag(curvature)).max()), 1.0)
-            direction = grad / scale
-        slope = float(grad @ direction)
-        if slope <= 0.0:  # not an ascent direction; fall back to the gradient
-            direction = grad
-            slope = gnorm**2
+            direction = grad / max(float(np.abs(np.diag(curvature)).max()), 1.0)
+            slope = float(grad @ direction)
+            converged = gnorm <= GRAD_TOL * model.n
+        if converged or iterations >= max_iter:
+            break
         step = _max_feasible_step(model, theta, direction)
-        accepted = False
         while step > 1e-14:
             candidate = theta + step * direction
             cand_state = alpha_likelihood(model, data, candidate, alpha, derivatives=True)
             if cand_state.value >= state.value + armijo_c * step * slope:
-                theta, state = candidate, cand_state
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            break
-    gnorm = float(np.linalg.norm(state.gradient))
-    return MdpdeResult(theta, state.value, iterations, gnorm <= grad_tol, gnorm), -state.hessian
+        else:
+            break  # the line search stalled
+        theta, state = candidate, cand_state
+    return MdpdeResult(theta, state.value, iterations, converged, gnorm), curvature
 
 
 def fit(
@@ -183,7 +183,6 @@ def fit(
     data: Dataset,
     alpha: float,
     init=None,
-    grad_tol: float = 1e-8,
     max_iter: int = 200,
 ) -> MdpdeResult:
     """Maximize the power-divergence objective.
@@ -194,23 +193,26 @@ def fit(
             raised, or, where rounding leaves it positive definite, the fit
             is flat).
         data: Observations.
-        alpha: Tuning constant, >= 0.
+        alpha: Tuning constant, a finite number >= 0.
         init: Optional starting point.  When omitted, fitting starts from the
             least-squares (linear) or zero (logistic) solution at a = 0 and
-            follows a warm-start continuation path in alpha.
-        grad_tol: Convergence threshold on the gradient norm, scaled by n.
+            follows a warm-start continuation path in alpha: every stage starts
+            the next, and the result is the last stage's, at ``alpha``.
         max_iter: Newton iteration cap per continuation stage.  Exceeding it
             returns ``converged=False`` with diagnostics rather than raising.
+
+    A stage stops when the Newton decrement g'C^{-1}g, twice the gain of the
+    full Newton step, is at most ``ROUNDOFF`` * max(1, |Q|): no step can
+    then change Q, whatever the units of the data.  Where the curvature C is
+    not positive definite, the gradient norm stops it at ``GRAD_TOL`` * n.
 
     A stationary point whose curvature has a flat direction (a vanishing
     gradient at infinity, as on separated logistic data, or a plateau where
     every f_i^a has vanished, reached from a start far from the data) also
     returns ``converged=False``, with ``flat=True``.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     model.validate_data(data)
-    tol = grad_tol * model.n
     total_iters = 0
     if init is not None:
         theta = model.validate_theta(np.asarray(init, dtype=float))
@@ -219,22 +221,18 @@ def fit(
         theta = model.default_init(data)
         n_stages = int(np.ceil(alpha / CONTINUATION_STEP)) if alpha > 0 else 0
         stages = [0.0] + list(np.linspace(0.0, alpha, n_stages + 1)[1:])
-    result = None
     for stage_alpha in stages:
         try:
-            result, curvature = _newton_ascent(model, data, theta, stage_alpha, tol, max_iter)
+            result, curvature = _newton_ascent(model, data, theta, stage_alpha, max_iter)
         except np.linalg.LinAlgError as exc:
             raise SingularHessianError(
                 f"curvature matrix is singular ({exc}); check the design for rank deficiency"
             ) from exc
         theta = result.theta_hat
         total_iters += result.iterations
-        if not result.converged:
-            break
-    assert result is not None
-    # A converged result ended its last stage, at alpha, so the curvature is at
-    # (theta, alpha).  The Cholesky test is laplace_integral's: a converged fit expands.
-    # A full-rank design fails it only where the start was far from the data
+    # The last stage ran at alpha, so the curvature is at (theta, alpha).  The
+    # Cholesky test is laplace_integral's: a converged fit expands.  A
+    # full-rank design fails it only where the start was far from the data
     # and every f_i^a vanished: a flat stationary point, not a bad design.
     if result.converged and not _is_pd(curvature):
         if not check_design_conditions(model.design).full_column_rank:

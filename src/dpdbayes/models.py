@@ -74,6 +74,12 @@ class DataFormatError(ValueError):
     """Raised when a data file cannot be parsed into a numeric dataset."""
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse an alpha that is not a finite number >= 0, NaN included."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Responses paired with the fixed design rows they were observed under.
@@ -453,8 +459,8 @@ class ModelFamily(ABC):
 
 def dpd_loss(model: ModelFamily, i: int, x: float, theta, alpha: float) -> float:
     """Per-observation divergence loss V_i(x, theta) for alpha > 0."""
-    if alpha <= 0.0:
-        raise ValueError("dpd_loss requires alpha > 0")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"dpd_loss requires a finite alpha > 0, got {alpha}")
     power = model.density_power(i, x, theta, alpha)
     return float(model.integral_power(i, theta, alpha) - (1.0 + 1.0 / alpha) * power)
 

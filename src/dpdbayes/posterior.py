@@ -38,7 +38,7 @@ from .alpha_likelihood import (
     alpha_likelihood,
     alpha_likelihood_functional_batch,
 )
-from .models import Dataset, LinearKnownSigma, ModelFamily
+from .models import Dataset, LinearKnownSigma, ModelFamily, _check_alpha
 
 __all__ = [
     "GaussianPrior",
@@ -162,8 +162,8 @@ class UniformBoxPrior:
     def __post_init__(self) -> None:
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("box bounds must satisfy lower < upper componentwise")
+        if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("box bounds must be finite and satisfy lower < upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -211,7 +211,7 @@ class SamplerConfig:
     them is retained, so the chain holds chain_length // thinning draws.  The
     seed is mandatory: there is no wall-clock default anywhere.
     ``proposal_scale``, when set, replaces the curvature-based proposal with
-    an isotropic Gaussian of that standard deviation.
+    an isotropic Gaussian of that standard deviation, a finite number > 0.
     """
 
     seed: int
@@ -225,6 +225,9 @@ class SamplerConfig:
             raise ValueError("invalid sampler configuration")
         if self.chain_length // self.thinning < 1:
             raise ValueError("chain_length must be at least thinning")
+        scale = self.proposal_scale
+        if scale is not None and not 0.0 < scale < math.inf:
+            raise ValueError(f"proposal_scale must be a finite number > 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -328,8 +331,7 @@ def _check_inputs(model, data_or_spec, prior, alpha: float) -> None:
     once per public call: alpha, the data against the design, and the
     prior's dimension (a prior without a ``dim``, the flat prior, fits
     every model)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     if isinstance(data_or_spec, Dataset):
         model.validate_data(data_or_spec)
     size = getattr(prior, "dim", None)
@@ -611,41 +613,48 @@ def posterior_mean(chain: PosteriorChain) -> PosteriorMeanEstimate:
     return PosteriorMeanEstimate(estimate=est, standard_error=se)
 
 
-def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0) -> float:
-    """Minimize the Monte Carlo average loss over the action t.
+def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) -> float:
+    """The action t minimising sum_i w_i L(theta_i, t) over scalar draws.
 
-    Newton iteration from the posterior mean; when the averaged second
-    derivative is not positive (non-smooth losses such as absolute error)
-    the minimization falls back to bounded scalar search over the draw range.
+    Newton from the weighted mean stops on a step below the round-off of
+    |t| + the draws' range.  Where the weighted curvature is not positive or
+    Newton does not settle, a bounded search takes over.
     """
-    draws = chain.draws[:, component]
-    t = float(draws.mean())
-    trace = [t]
+    center = float(weights @ draws)
+    lo, hi = float(draws.min()), float(draws.max())
+    span = hi - lo
+    if span == 0.0:
+        return lo
+    t = center
     for _ in range(100):
-        g = float(np.mean(loss.d1(draws, t)))
-        h = float(np.mean(loss.d2(draws, t)))
+        h = float(weights @ loss.d2(draws, t))
         if h <= 0.0:
             break
-        step = g / h
+        step = float(weights @ loss.d1(draws, t)) / h
         t -= step
-        trace.append(t)
-        if abs(step) < 1e-12 * (1.0 + abs(t)) and abs(g) < 1e-9:
+        if abs(step) <= mdpde.ROUNDOFF * (abs(t) + span):
             return t
-    # Bounded fallback on the Monte Carlo objective.
-    lo, hi = float(draws.min()), float(draws.max())
-    if lo == hi:
-        return lo
+    # Over the offset from the weighted mean in units of the range, stopping
+    # at the round-off of t: finer probes tie, and ties mislead the bracket.
     res = optimize.minimize_scalar(
-        lambda s: float(np.mean(loss.evaluate(draws, s))),
-        bounds=(lo, hi),
+        lambda u: float(weights @ loss.evaluate(draws, center + u * span)),
+        bounds=((lo - center) / span, (hi - center) / span),
         method="bounded",
-        options={"xatol": 1e-10},
+        options={"xatol": mdpde.ROUNDOFF * (abs(center) + span) / span},
     )
     if not res.success:
-        raise RuntimeError(
-            f"loss minimization failed after Newton trace {trace[-5:]}: {res.message}"
-        )
-    return float(res.x)
+        raise RuntimeError(f"loss minimization failed: {res.message}")
+    return center + float(res.x) * span
+
+
+def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0) -> float:
+    """Minimize the Monte Carlo average loss over the action t: Newton from
+    the posterior mean, or a bounded search over the draws' range where the
+    averaged second derivative is not positive (absolute error).  Both stop
+    at the round-off of t, so the estimate shifts and scales with the draws.
+    """
+    draws = chain.draws[:, component]
+    return _loss_minimizer(draws, np.full(draws.size, 1.0 / draws.size), loss)
 
 
 def importance_expectation(

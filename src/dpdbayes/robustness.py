@@ -35,8 +35,8 @@ from scipy import optimize
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
-from .models import LinearKnownSigma, ModelFamily
-from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
+from .models import LinearKnownSigma, ModelFamily, _check_alpha
+from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction, _loss_minimizer
 from .posterior import _importance_sample, _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
@@ -200,8 +200,7 @@ def contamination_score(
     model: ModelFamily, spec: InModel, i: int, theta, t, alpha: float
 ) -> float:
     """Score k_i(theta, t) of index i against its in-model truth."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     if not isinstance(spec, InModel):
         raise TypeError("contamination scores are defined against in-model truths")
     theta = model.validate_theta(theta)
@@ -308,13 +307,6 @@ def _population_terms(model, spec, prior, alpha, mc, sample=None, rows=slice(Non
     return sample, model.contamination_terms(sample.draws, alpha, spec.theta_g, rows)
 
 
-def _weighted_cov_vector(draws, weights, scores):
-    mean_theta = weights @ draws
-    mean_score = float(weights @ scores)
-    centered = (draws - mean_theta[None, :]) * (scores - mean_score)[:, None]
-    return weights @ centered
-
-
 def _weight_blocks(weights):
     """Ten contiguous draw blocks with positive total weight, as pairs of
     (indices, weights normalized within the block), for block standard errors."""
@@ -327,13 +319,19 @@ def _weight_blocks(weights):
     return blocks
 
 
-def _covariance_influence(sample, blocks, scores) -> InfluenceEstimate:
-    """Posterior covariance between the parameter and the scores, with its
-    block standard error."""
-    value = _weighted_cov_vector(sample.draws, sample.weights, scores)
-    block_vals = np.asarray(
-        [_weighted_cov_vector(sample.draws[idx], wb, scores[idx]) for idx, wb in blocks]
-    )
+def _weighted_cov_vector(draws, weights, scores):
+    mean_theta = weights @ draws
+    mean_score = float(weights @ scores)
+    centered = (draws - mean_theta[None, :]) * (scores - mean_score)[:, None]
+    return weights @ centered
+
+
+def _block_estimate(sample, blocks, scores, statistic=_weighted_cov_vector) -> InfluenceEstimate:
+    """``statistic(draws, weights, scores)`` (by default the parameter-score
+    covariance) of the sample, with the standard error of its block values."""
+    draws = sample.draws
+    value = np.atleast_1d(statistic(draws, sample.weights, scores))
+    block_vals = np.asarray([np.atleast_1d(statistic(draws[i], wb, scores[i])) for i, wb in blocks])
     se = block_vals.std(axis=0, ddof=1) / math.sqrt(block_vals.shape[0])
     return InfluenceEstimate(
         value=value, standard_error=se, effective_sample_size=sample.effective_sample_size
@@ -358,7 +356,7 @@ def influence_posterior_mean(
     rows, points = _scenario_block(scenario)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     scores = _summed_scores(model, terms, points)
-    return _covariance_influence(sample, _weight_blocks(sample.weights), scores)
+    return _block_estimate(sample, _weight_blocks(sample.weights), scores)
 
 
 def influence_curve(
@@ -382,7 +380,7 @@ def influence_curve(
     values = np.empty((t_grid.size, model.dim))
     errors = np.empty_like(values)
     for j, t in enumerate(t_grid):
-        est = _covariance_influence(sample, blocks, _summed_scores(model, terms, float(t)))
+        est = _block_estimate(sample, blocks, _summed_scores(model, terms, float(t)))
         values[j] = est.value
         errors[j] = est.standard_error
     return values, errors, sample
@@ -434,37 +432,30 @@ def influence_bayes_estimate(
 
     Evaluates -E[L'(theta, T) * score] / E[L''(theta, T)] at the loss
     minimizer T of the population posterior; with squared-error loss this
-    reproduces the posterior-mean influence exactly.
+    reproduces the posterior-mean influence exactly.  T comes from
+    ``bayes_estimate``'s minimiser, run on the population weights.
+
+    Raises:
+        ValueError: If the weighted loss curvature is not positive at the
+            weighted mean or at T (absolute-error loss has none anywhere).
     """
     rows, points = _scenario_block(scenario)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     draws = sample.draws[:, component]
     w = sample.weights
 
-    t_star = float(w @ draws)
-    for _ in range(100):
-        g = float(w @ loss.d1(draws, t_star))
-        h = float(w @ loss.d2(draws, t_star))
+    def curvature(t):
+        h = float(w @ loss.d2(draws, t))
         if h <= 0.0:
-            break
-        step = g / h
-        t_star -= step
-        if abs(step) < 1e-12 * (1.0 + abs(t_star)):
-            break
-    denom = float(w @ loss.d2(draws, t_star))
-    if denom <= 0.0:
-        raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-    scores = _summed_scores(model, terms, points)
-    lprime = loss.d1(draws, t_star)
-    value = -float(w @ (lprime * scores)) / denom
-    vals = np.asarray(
-        [-float(wb @ (lprime[idx] * scores[idx])) / denom for idx, wb in _weight_blocks(w)]
-    )
-    se = vals.std(ddof=1) / math.sqrt(vals.size)
-    return InfluenceEstimate(
-        value=np.atleast_1d(value),
-        standard_error=np.atleast_1d(se),
-        effective_sample_size=sample.effective_sample_size,
+            raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
+        return h
+
+    curvature(float(w @ draws))  # where the minimiser starts: before its fallback search
+    t_star = _loss_minimizer(draws, w, loss)
+    denom = curvature(t_star)
+    lprime_scores = loss.d1(draws, t_star) * _summed_scores(model, terms, points)
+    return _block_estimate(
+        sample, _weight_blocks(w), lprime_scores, lambda _, wb, ls: -float(wb @ ls) / denom
     )
 
 

@@ -92,7 +92,7 @@ def test_criterion_2_coefficient_covariance_monte_carlo():
         "coefficient-error covariance vs closed form (n=200, a=0.25, 500 reps)",
         deviation <= 0.15 and elapsed < 600.0,
         f"Frobenius-relative deviation {deviation:.4f} (limit 0.15), "
-        f"{report.failures} failed reps, {elapsed:.1f}s (limit 600s)",
+        f"failures_by_kind {report.failures_by_kind}, {elapsed:.1f}s (limit 600s)",
     )
 
 
@@ -113,7 +113,8 @@ def test_criterion_3_scale_variance_monte_carlo():
         "scale-error variance vs closed form (unknown scale)",
         rel <= 0.20,
         f"relative deviation {rel:.4f} (limit 0.20), "
-        f"empirical {report.scaled_sigma_var:.4f} vs target {report.upsilon_sigma_target:.4f}",
+        f"empirical {report.scaled_sigma_var:.4f} vs target {report.upsilon_sigma_target:.4f}, "
+        f"failures_by_kind {report.failures_by_kind}",
     )
 
 

@@ -98,6 +98,31 @@ class TestObjectiveValue:
         with pytest.raises(ValueError):
             alpha_likelihood(model, data, beta, -0.1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize(
+        "entry",
+        ["alpha_likelihood", "batch", "functional", "fit", "log_posterior", "contamination_score",
+         "efficiency"],
+    )
+    def test_every_entry_point_refuses_an_alpha_that_is_not_finite_and_non_negative(
+        self, linear_problem, entry, alpha
+    ):
+        from dpdbayes import FlatPrior, contamination_score, fit, log_posterior_unnorm
+        from dpdbayes.diagnostics import efficiency
+
+        model, data, beta = linear_problem
+        calls = {
+            "alpha_likelihood": lambda: alpha_likelihood(model, data, beta, alpha),
+            "batch": lambda: alpha_likelihood_batch(model, data, beta[None, :], alpha),
+            "functional": lambda: alpha_likelihood_functional(model, InModel(beta), beta, alpha),
+            "fit": lambda: fit(model, data, alpha),
+            "log_posterior": lambda: log_posterior_unnorm(model, data, FlatPrior(), beta, alpha),
+            "contamination_score": lambda: contamination_score(model, InModel(beta), 0, beta, 1.0, alpha),
+            "efficiency": lambda: efficiency(alpha),
+        }
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            calls[entry]()
+
     def test_hessian_symmetric(self, unknown_sigma_problem):
         model, data, theta = unknown_sigma_problem
         state = alpha_likelihood(model, data, theta, 0.3, derivatives=True)

@@ -344,7 +344,45 @@ class TestConfigValues:
         assert config.get_bool("model", "header") is value
 
 
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["fit", "sample"])
+    def test_exits_one_with_one_error_line(self, command, alpha, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        code = main([command, str(data_path), "--alpha", alpha, "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "converged" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: alpha must be a finite number >= 0")
+
+
 class TestBvmCommand:
+    def test_sampler_thinning_reaches_the_chain(self, tmp_path, monkeypatch):
+        from dpdbayes import posterior
+
+        thinning = []
+        real_sample = posterior.sample
+
+        def spy(model, data, prior, alpha, config, **kwargs):
+            thinning.append(config.thinning)
+            return real_sample(model, data, prior, alpha, config, **kwargs)
+
+        monkeypatch.setattr(posterior, "sample", spy)
+        code = main(
+            [
+                "bvm", "--seed", "1", "--alpha", "0.3", "--out", str(tmp_path),
+                "--set", "experiment.n_grid=25", "--set", "experiment.seeds=1",
+                "--set", "sampler.chain_length=4000", "--set", "sampler.burn_in=400",
+                "--set", "sampler.thinning=4",
+                "--set", "prior.mean=5", "--set", "prior.sd=2",
+            ]
+        )
+        assert code == 0
+        assert thinning == [4]
+
     def test_emits_rows_per_n_and_seed(self, tmp_path):
         outdir = tmp_path / "out"
         code = main(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpdbayes import (
     Dataset,
@@ -179,6 +183,77 @@ class TestFit:
         result = fit(model, data, 0.9, init=np.array([40.0, -40.0]), max_iter=2)
         assert not result.converged
         assert result.gradient_norm > 0.0
+
+
+class TestUnitFreeStop:
+    @pytest.mark.parametrize("replication", [232, 323])
+    def test_criterion_3_replications_converge(self, replication):
+        # Criterion 3's set-up: these two replications stalled 200 iterations
+        # at a gradient norm just above an absolute stop.
+        gen = np.random.default_rng(2024)
+        design = np.column_stack([np.ones(200), gen.standard_normal(200)])
+        model = LinearUnknownSigma(design)
+        seq = np.random.SeedSequence(78).spawn(500)[replication]
+        responses = model.sample_responses([5.0, 2.0, 1.0], np.random.default_rng(seq))
+        result = fit(model, Dataset(responses, design), 0.25)
+        assert result.converged
+        assert result.iterations < 20
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["known", "unknown", "logistic"]),
+        seed=st.integers(0, 2**16),
+        alpha=st.sampled_from([0.0, 0.3, 0.5]),
+    )
+    @example(family="known", seed=0, alpha=0.3)
+    @example(family="known", seed=0, alpha=0.5)
+    def test_fit_does_not_depend_on_covariate_units(self, family, seed, alpha):
+        gen = np.random.default_rng(seed)
+        z = gen.standard_normal(60)
+        if family == "logistic":
+            responses = (gen.random(60) < 1.0 / (1.0 + np.exp(-0.5 - z))).astype(float)
+        else:
+            responses = 0.5 + z + gen.standard_normal(60)
+        make = {
+            "known": lambda d: LinearKnownSigma(d, 1.0),
+            "unknown": LinearUnknownSigma,
+            "logistic": Logistic,
+        }[family]
+        results = []
+        for unit in (1.0, 1e-3, 1e3):
+            design = np.column_stack([np.ones(60), unit * z])
+            model = make(design)
+            result = fit(model, Dataset(responses, design), alpha)
+            theta = result.theta_hat.copy()
+            theta[1] *= unit
+            results.append((result.converged, theta))
+            if unit == 1.0:
+                sw = sandwich(model, InModel(theta), theta, alpha)
+                se = np.sqrt(np.diag(asymptotic_covariance(sw, model.n)))
+        assert results[0][0]
+        for converged, theta in results[1:]:
+            assert converged
+            assert np.max(np.abs(theta - results[0][1]) / se) <= 1e-5
+
+    def test_failed_continuation_stage_still_ends_at_the_target(self, unknown_sigma_problem, monkeypatch):
+        model, data, _ = unknown_sigma_problem
+        target = fit(model, data, 0.35)
+        stages = []
+        newton = mdpde._newton_ascent
+
+        def first_stage_fails(model, data, theta, alpha, *limits):
+            result, curvature = newton(model, data, theta, alpha, *limits)
+            stages.append(alpha)
+            if len(stages) == 1:
+                result = dataclasses.replace(result, converged=False)
+            return result, curvature
+
+        monkeypatch.setattr(mdpde, "_newton_ascent", first_stage_fails)
+        result = fit(model, data, 0.35)
+        assert stages[0] == 0.0 and stages[-1] == 0.35
+        assert result.converged
+        assert np.allclose(result.theta_hat, target.theta_hat, rtol=0.0, atol=1e-10)
+        assert result.q_value == pytest.approx(target.q_value, rel=1e-14)
 
 
 class TestSandwich:

@@ -123,6 +123,12 @@ class TestLossTerm:
         with pytest.raises(ValueError):
             dpd_loss(model, 0, data.responses[0], beta, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_requires_finite_alpha(self, linear_problem, alpha):
+        model, data, beta = linear_problem
+        with pytest.raises(ValueError, match="finite alpha"):
+            dpd_loss(model, 0, data.responses[0], beta, alpha)
+
     def test_invalid_index(self, linear_problem):
         model, data, beta = linear_problem
         with pytest.raises(IndexError):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import solve_triangular
@@ -136,6 +136,13 @@ class TestPriors:
         draw = prior.sample(np.random.default_rng(1))
         assert 0.0 <= draw[0] <= 2.0
 
+    @pytest.mark.parametrize(
+        "lower, upper", [([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [0.0]), ([0.0, 0.0], [1.0, np.inf])]
+    )
+    def test_box_prior_refuses_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            UniformBoxPrior(lower, upper)
+
     def test_flat_prior_cannot_sample(self):
         with pytest.raises(TypeError):
             FlatPrior().sample(np.random.default_rng(0))
@@ -203,6 +210,11 @@ def test_log_posterior_rows_match_row_by_row(
 
 
 class TestSampler:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_config_refuses_a_proposal_scale_that_is_not_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="proposal_scale"):
+            SamplerConfig(seed=1, proposal_scale=scale)
+
     def test_conjugate_alpha_zero_mean(self, small_location, conjugate_chain):
         model, data, prior = small_location
         est = posterior_mean(conjugate_chain)
@@ -401,6 +413,50 @@ class TestBayesEstimate:
                     - np.mean(loss.evaluate(draws, t - 1e-6))
                 ) / 2e-6
                 assert np.mean(loss.d1(draws, t)) == pytest.approx(fd, abs=1e-6)
+
+
+def _chain_of(draws):
+    return PosteriorChain(
+        draws=draws[:, None],
+        log_post_values=np.zeros(draws.size),
+        acceptance_rate=0.3,
+        seed=0,
+        alpha=0.5,
+        burn_in=0,
+        thinning=1,
+    )
+
+
+_LOSSES = {
+    "squared": lambda scale: squared_error_loss(),
+    "absolute": lambda scale: absolute_error_loss(),
+    "huber": huber_loss,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    loss=st.sampled_from(sorted(_LOSSES)),
+    seed=st.integers(0, 2**16),
+    shift=st.sampled_from([0.0, 1e6, 1e8, -3e8]),
+    scale=st.sampled_from([1e-12, 1e-9, 1.0, 1e6]),
+)
+@example(loss="squared", seed=0, shift=1e8, scale=1.0)
+@example(loss="absolute", seed=0, shift=0.0, scale=1e-12)
+@example(loss="huber", seed=0, shift=-3e8, scale=1e6)
+@example(loss="huber", seed=2, shift=0.0, scale=1e-12)
+def test_bayes_estimate_moves_with_the_draws(loss, seed, shift, scale):
+    # Below this scale the draws' own rounding at the shift exceeds 1e-6 of it.
+    assume(scale >= 1e6 * np.finfo(float).eps * abs(shift))
+    z = np.random.default_rng(seed).standard_normal(1000)
+    moved = (bayes_estimate(_chain_of(shift + scale * z), _LOSSES[loss](scale)) - shift) / scale
+    if loss == "absolute":
+        # With an even number of draws every point between the middle two
+        # minimises the average absolute error.
+        middle = np.sort(z)[499:501]
+        assert middle[0] - 1e-6 <= moved <= middle[1] + 1e-6
+    else:
+        assert abs(moved - bayes_estimate(_chain_of(z), _LOSSES[loss](1.0))) <= 1e-6
 
 
 class TestImportanceSampling:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Dataset, ModelFamily, _check_alpha
+from .models import Dataset, ModelFamily, _check_alpha, _is_common_point
 
 __all__ = [
     "AlphaLikelihoodValue",
@@ -125,17 +125,17 @@ def alpha_likelihood(
     return AlphaLikelihoodValue(value=value, alpha=alpha, gradient=scale * grad, hessian=hess)
 
 
-def _in_row_blocks(kernel, thetas: np.ndarray, n: int, values: int) -> np.ndarray:
+def _in_row_blocks(kernel, thetas: np.ndarray, columns: int, values: int) -> np.ndarray:
     """(m,) values of ``kernel`` (parameter rows -> one value per row) over
-    blocks of rows whose (rows, n) scratch arrays hold about ``values``
-    values each, so they stay in cache.
+    blocks of rows whose (rows, columns) scratch arrays hold about
+    ``values`` values each, so they stay in cache.
 
     No block has one row unless m = 1: a one-row product goes through gemv,
     whose rows differ from gemm rows in the low bits, so a one-row tail
     joins the block before it.
     """
     m = thetas.shape[0]
-    step = max(2, values // n)
+    step = max(2, values // columns)
     if m <= step + 1:
         return kernel(thetas)
     starts = list(range(0, m, step))
@@ -190,30 +190,46 @@ def alpha_likelihood_functional_batch(
     model: ModelFamily, spec, thetas: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Vectorized population objective over rows of ``thetas``, computed in
-    row blocks (``_in_row_blocks``)."""
+    row blocks (``_in_row_blocks``).
+
+    An in-model truth, and a contaminated one with a common point or eps = 0,
+    makes every term depend on its index only through the design row, so
+    the terms are computed once per distinct design row and weighted by the
+    row's count.  Contamination points must be a scalar, a length-1 array
+    or one per index (``ValueError`` naming n otherwise).
+    """
     _check_alpha(alpha)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not isinstance(spec, (InModel, Contaminated)):
         raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
     contaminated = isinstance(spec, Contaminated) and spec.eps > 0.0
+    per_index = isinstance(spec, Contaminated) and not _is_common_point(spec.points, model.n)
+    if contaminated and per_index:
+        rows, groups = slice(None), None  # summed index by index
+    else:
+        rows, groups = model._grouped_rows(slice(None))
+
+    def row_sums(terms):
+        return np.sum(terms, axis=1) if groups is None else np.dot(terms, groups.counts)
 
     def kernel(block):
         if alpha == 0.0:
-            eld = model.log_density_expectation_batch(block, spec.theta_g)  # (m, n)
+            eld = model.log_density_expectation_batch(block, spec.theta_g, rows)  # (m, k)
             if contaminated:
-                log_f_t = model.log_density_batch(spec.points, block)
+                log_f_t = model.log_density_batch(spec.points, block, rows)
                 eld = (1.0 - spec.eps) * eld + spec.eps * log_f_t
-            return np.sum(eld - 1.0, axis=1)
-        log_m = model.log_power_expectation_batch(block, alpha, spec.theta_g)  # (m, n)
+            return row_sums(eld - 1.0)
+        log_m = model.log_power_expectation_batch(block, alpha, spec.theta_g, rows)  # (m, k)
         if contaminated:
-            log_f_t = model.log_density_batch(spec.points, block)
+            log_f_t = model.log_density_batch(spec.points, block, rows)
             # (1/a)[(1-eps)(e^m - 1) + eps(e^{a log f(t)} - 1)], stable near a = 0
             data_part = (
                 (1.0 - spec.eps) * np.expm1(log_m) + spec.eps * np.expm1(alpha * log_f_t)
             ) / alpha
         else:
             data_part = np.expm1(log_m) / alpha
-        ints = model.log_power_integral_batch(block, alpha)
-        return np.sum(data_part - np.exp(ints) / (1.0 + alpha), axis=1)
+        ints = model.log_power_integral_batch(block, alpha, rows)
+        return row_sums(data_part - np.exp(ints) / (1.0 + alpha))
 
-    return _in_row_blocks(kernel, thetas, model.n, _FUNCTIONAL_BLOCK_VALUES)
+    width = model.n if groups is None else groups.first.size
+    return _in_row_blocks(kernel, thetas, width, _FUNCTIONAL_BLOCK_VALUES)

@@ -29,6 +29,12 @@ layers need to know about a family is stated by five hooks rather than by
 type checks: ``scale_index``, ``in_support``, ``default_init``, ``scale``
 and ``curvature_unit``.
 
+An index enters a population-level sum, the population objective or the
+contamination scores of every index, only through its design row, so those
+sums run once per distinct design row, weighted by the row's count
+(``ModelFamily._row_groups``).  A design whose rows are all distinct takes
+the per-index route unchanged.
+
 The two Gaussian families share one kernel set: ``LinearKnownSigma`` pins
 the scale to its ``sigma`` and ``LinearUnknownSigma`` reads it from the last
 parameter coordinate.  User-defined families can be added through
@@ -45,6 +51,8 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -78,6 +86,30 @@ def _check_alpha(alpha: float) -> None:
     """Refuse an alpha that is not a finite number >= 0, NaN included."""
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
+
+
+def _is_common_point(points, n: int) -> bool:
+    """True for contamination points shared by all n indices (a scalar or
+    a length-1 array), False for one point per index (a length-n vector);
+    ``ValueError`` naming n for any other shape."""
+    shape = np.shape(points)
+    if np.size(points) == 1:
+        return True
+    if shape == (n,):
+        return False
+    raise ValueError(
+        f"contamination points must be a scalar or one per index ({n} values), got shape {shape}"
+    )
+
+
+class _RowGroups(NamedTuple):
+    """The distinct rows of a design: the index of each one's first
+    occurrence, how many indices share it (as floats, for row sums), and
+    each index's distinct row (the inverse map)."""
+
+    first: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -262,6 +294,27 @@ class ModelFamily(ABC):
         if not np.array_equal(data.design, self.design):
             raise ValueError("dataset design differs from the model design")
 
+    @cached_property
+    def _row_groups(self) -> _RowGroups | None:
+        """The distinct design rows, or None when every row is distinct.
+
+        Found on first use by a population-level sum, so building a family
+        and the data-level paths cost nothing more.
+        """
+        _, first, inverse, counts = np.unique(
+            self.design, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        if first.size == self.n:
+            return None
+        return _RowGroups(first, counts.astype(float), inverse.reshape(-1))
+
+    def _grouped_rows(self, rows):
+        """(rows to evaluate, their ``_RowGroups``): the first occurrences of
+        the distinct rows when ``rows`` is every index of a design with
+        repeated rows, else ``rows`` itself and None."""
+        groups = self._row_groups if isinstance(rows, slice) and rows == slice(None) else None
+        return (rows, None) if groups is None else (groups.first, groups)
+
     def _check_index(self, i) -> np.ndarray:
         idx = np.atleast_1d(np.asarray(i, dtype=int))
         if np.any(idx < 0) or np.any(idx >= self.n):
@@ -376,21 +429,33 @@ class ModelFamily(ABC):
         The result is opaque to callers.  Here it holds the expectation term
         (log integral f_i^a dG_i, or integral log f_i dG_i at a = 0) and its
         exponential, so each point costs one ``log_density_batch`` call and
-        in-place updates of its result.  A family with a closed form may
+        in-place updates of its result.  For every index (``rows`` the full
+        slice) of a design with repeated rows the terms are made once per
+        distinct row (``_grouped_rows``).  A family with a closed form may
         override both methods with cheaper kernels giving the same values.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        rows, groups = self._grouped_rows(rows)
         if alpha == 0.0:
             log_m = self.log_density_expectation_batch(thetas, theta_true, rows)
-            return thetas, rows, alpha, log_m, None
+            return thetas, rows, alpha, log_m, None, groups
         log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
-        return thetas, rows, alpha, log_m, np.exp(log_m)
+        return thetas, rows, alpha, log_m, np.exp(log_m), groups
 
     def summed_contamination_scores(self, terms, points) -> np.ndarray:
         """(m,) sums of k_i(theta, t_i) over the block of prepared ``terms``
         (from ``contamination_terms``); ``points`` holds one value per index
-        of the block or a scalar shared by all."""
-        thetas, rows, alpha, log_m, m = terms
+        of the block or a scalar shared by all.
+
+        Terms made per distinct design row score a common point once per
+        row and weight each row's score by its count; per-index points
+        expand them to every index through the inverse map.
+        """
+        thetas, rows, alpha, log_m, m, groups = terms
+        if groups is not None and np.size(points) != 1:
+            inverse, groups, rows = groups.inverse, None, slice(None)
+            log_m = np.take(log_m, inverse, axis=1)
+            m = None if m is None else np.take(m, inverse, axis=1)
         work = self.log_density_batch(points, thetas, rows)
         if alpha == 0.0:
             work -= log_m
@@ -401,7 +466,7 @@ class ModelFamily(ABC):
             np.expm1(work, out=work)
             work *= m
             work /= alpha
-        return work.sum(axis=1)
+        return work.sum(axis=1) if groups is None else np.dot(work, groups.counts)
 
     # ---- slices of the kernels -------------------------------------------
 
@@ -596,6 +661,7 @@ class LinearKnownSigma(ModelFamily):
         # The expectation kernels' temporaries are freed before mu is made.
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         betas, sigma = self._split(thetas)
+        rows, groups = self._grouped_rows(rows)
         if alpha == 0.0:
             offset = _log_norm(sigma) - self.log_density_expectation_batch(thetas, theta_true, rows)
             factor, weights = -0.5 / sigma**2, None
@@ -605,14 +671,27 @@ class LinearKnownSigma(ModelFamily):
             weights = np.exp(log_m, out=log_m)
             weights /= alpha
             factor = -0.5 * alpha / sigma**2
-        return betas @ self.design[rows].T, factor, offset, weights
+        return betas @ self.design[rows].T, factor, offset, weights, groups
 
     def summed_contamination_scores(self, terms, points):
-        mu, factor, offset, weights = terms
+        mu, factor, offset, weights, groups = terms
+        if groups is not None and np.size(points) != 1:
+            # np.take keeps the rows C-ordered; a fancy index on the columns
+            # would return them F-ordered, and the row sums would change order.
+            inverse, groups = groups.inverse, None
+            mu, offset = np.take(mu, inverse, axis=1), np.take(offset, inverse, axis=1)
+            weights = None if weights is None else np.take(weights, inverse, axis=1)
         work = np.subtract(np.asarray(points, dtype=float), mu)
         np.multiply(work, work, out=work)
         work *= factor
         work += offset
+        if groups is not None:
+            # One column per distinct design row: the counts weight the row
+            # sum, a dot product (einsum is slow on a few columns).
+            if weights is not None:
+                np.expm1(work, out=work)
+                work *= weights
+            return np.dot(work, groups.counts)
         if weights is None:
             return np.einsum("ij->i", work)
         np.expm1(work, out=work)
@@ -895,7 +974,9 @@ class QuadratureFamily(ModelFamily):
     derivatives by central finite differences of the per-index objective
     term, which integrates that index only.  This path is an order of
     magnitude slower than the built-ins; it exists for correctness, not
-    speed.
+    speed.  ``log_density_scalar`` must let the index enter only through
+    its design row ``design[i]``: population sums are taken once per
+    distinct row, at its first index.
     """
 
     _FD_STEP = 1e-6

@@ -613,12 +613,36 @@ def posterior_mean(chain: PosteriorChain) -> PosteriorMeanEstimate:
     return PosteriorMeanEstimate(estimate=est, standard_error=se)
 
 
+def _flat_interval_midpoint(draws: np.ndarray, weights: np.ndarray, loss: LossFunction, t: float):
+    """The midpoint of an interval between neighbouring weighted draws next
+    to ``t`` on which the weighted loss derivative vanishes, to within the
+    round-off bound of its sum, or ``t`` when there is none.
+
+    Such an interval is a set of minimisers: absolute error has one when the
+    draws below it carry exactly half the weight (an even number of equally
+    weighted draws), and its midpoint is ``np.median``'s convention.
+    """
+    support = np.unique(draws[weights > 0.0])
+    if support.size < 2:
+        return t
+    j = int(np.argmin(np.abs(support - t)))  # the nearest draw; one interval on each side
+    for i in range(max(j - 1, 0), min(j + 1, support.size - 1)):
+        mid = 0.5 * (support[i] + support[i + 1])
+        slopes = weights * loss.d1(draws, mid)
+        roundoff = draws.size * np.finfo(float).eps * float(np.abs(slopes).sum())
+        if abs(float(slopes.sum())) <= roundoff:
+            return float(mid)
+    return t
+
+
 def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) -> float:
     """The action t minimising sum_i w_i L(theta_i, t) over scalar draws.
 
     Newton from the weighted mean stops on a step below the round-off of
     |t| + the draws' range.  Where the weighted curvature is not positive or
-    Newton does not settle, a bounded search takes over.
+    Newton does not settle, a bounded search takes over; where the loss is
+    flat between two draws next to its result, the search returns that
+    interval's midpoint (``_flat_interval_midpoint``).
     """
     center = float(weights @ draws)
     lo, hi = float(draws.min()), float(draws.max())
@@ -644,7 +668,7 @@ def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) 
     )
     if not res.success:
         raise RuntimeError(f"loss minimization failed: {res.message}")
-    return center + float(res.x) * span
+    return _flat_interval_midpoint(draws, weights, loss, center + float(res.x) * span)
 
 
 def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0) -> float:

@@ -35,7 +35,7 @@ from scipy import optimize
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
-from .models import LinearKnownSigma, ModelFamily, _check_alpha
+from .models import LinearKnownSigma, ModelFamily, _check_alpha, _is_common_point
 from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction, _loss_minimizer
 from .posterior import _importance_sample, _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
@@ -181,11 +181,23 @@ class BreakdownCurve:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_block(scenario):
-    """(index block, contamination points) of a contamination scenario."""
+def _scenario_block(scenario, n: int | None = None):
+    """(index block, contamination points) of a contamination scenario.
+
+    A one-direction point must be a scalar; all-directions points a scalar,
+    a length-1 array or, given the model's n, one per index.  Other shapes
+    raise ``ValueError``.
+    """
     if isinstance(scenario, OneDirection):
+        if np.ndim(scenario.point) != 0:
+            raise ValueError(
+                f"a one-direction contamination point must be a scalar, "
+                f"got shape {np.shape(scenario.point)}"
+            )
         return [scenario.index], scenario.point
     if isinstance(scenario, AllDirections):
+        if n is not None:
+            _is_common_point(scenario.points, n)
         return slice(None), scenario.points
     raise TypeError(f"unsupported contamination scenario: {type(scenario).__name__}")
 
@@ -353,7 +365,7 @@ def influence_posterior_mean(
     and the summed contamination score; block-split standard errors quantify
     the Monte Carlo noise.
     """
-    rows, points = _scenario_block(scenario)
+    rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     scores = _summed_scores(model, terms, points)
     return _block_estimate(sample, _weight_blocks(sample.weights), scores)
@@ -439,7 +451,7 @@ def influence_bayes_estimate(
         ValueError: If the weighted loss curvature is not positive at the
             weighted mean or at T (absolute-error loss has none anywhere).
     """
-    rows, points = _scenario_block(scenario)
+    rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     draws = sample.draws[:, component]
     w = sample.weights

@@ -130,10 +130,15 @@ class TestObjectiveValue:
 
 
 @functools.cache
-def _block_problem(kind: str, n: int):
-    """(model, data, theta) with n observations and three covariates."""
+def _block_problem(kind: str, n: int, repeated: bool = False):
+    """(model, data, theta) with n observations and three covariates; with
+    ``repeated``, n distinct design rows, each repeated 1-3 times, in
+    shuffled order."""
     gen = np.random.default_rng(n)
     design = np.column_stack([np.ones(n), gen.standard_normal((n, 2))])
+    if repeated:
+        design = np.repeat(design, 1 + np.arange(n) % 3, axis=0)
+        design = design[gen.permutation(design.shape[0])]
     if kind == "known":
         model, theta = LinearKnownSigma(design, 1.3), np.array([0.5, 1.0, -1.0])
     elif kind == "unknown":
@@ -174,13 +179,17 @@ def test_row_blocks_do_not_change_values(kind, data, n, alpha):
 _SPEC_POINTS = {"known": 40.0, "unknown": -40.0, "logistic": 1.0}
 
 
-# n = 2^14 / 8 gives blocks of 8 rows, n = 700 blocks of 23.
+# n = 2^14 / 8 distinct rows give blocks of 8 rows, n = 700 blocks of 23;
+# a design with repeated rows sizes its blocks by its distinct rows.
 @pytest.mark.parametrize("kind", ["known", "unknown", "logistic"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.sampled_from([_FUNCTIONAL_BLOCK_VALUES // 8, 700]),
-       alpha=st.sampled_from([0.0, 0.3]), eps=st.sampled_from([0.0, 0.2]))
-def test_functional_row_blocks_do_not_change_values(kind, data, n, alpha, eps):
-    model, _, theta = _block_problem(kind, n)
+       alpha=st.sampled_from([0.0, 0.3]), eps=st.sampled_from([0.0, 0.2]),
+       repeated=st.booleans())
+def test_functional_row_blocks_do_not_change_values(kind, data, n, alpha, eps, repeated):
+    model, _, theta = _block_problem(kind, n, repeated)
+    groups = model._row_groups
+    assert (groups is not None) == repeated and (not repeated or groups.first.size == n)
     spec = Contaminated(theta, eps, _SPEC_POINTS[kind]) if eps else InModel(theta)
     step = _FUNCTIONAL_BLOCK_VALUES // n
     one_row_tails = [k * step + 1 for k in (0, 1, 2, 3)]
@@ -204,7 +213,7 @@ def test_functional_row_blocks_do_not_change_values(kind, data, n, alpha, eps):
     # wherever BLAS gives a row of the linear predictors the same bits in a
     # block as in the whole product.  OpenBLAS does not for some shapes: at
     # n = 700 with two or more coefficients, rows differ in the last bit.
-    p, z = model.n_covariates, model.design
+    p, z = model.n_covariates, model.design if groups is None else model.design[groups.first]
     predictors = thetas[:, :p] @ z.T
     if all(np.array_equal(thetas[a:b, :p] @ z.T, predictors[a:b]) for a, b in bounds):
         assert np.array_equal(got, unblocked)

@@ -459,6 +459,15 @@ def test_bayes_estimate_moves_with_the_draws(loss, seed, shift, scale):
         assert abs(moved - bayes_estimate(_chain_of(z), _LOSSES[loss](1.0))) <= 1e-6
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e6, -3e8])
+def test_absolute_error_estimate_is_the_midpoint_of_the_middle_draws(shift):
+    # With 2000 draws every point between the middle two minimises the
+    # average absolute error; the estimate is their midpoint, np.median's
+    # convention, whatever point of the interval the search stops at.
+    draws = shift + np.random.default_rng(13).standard_normal(2000)
+    assert bayes_estimate(_chain_of(draws), absolute_error_loss()) == np.median(draws)
+
+
 class TestImportanceSampling:
     def test_constant_function_returns_one(self, small_location):
         model, data, prior = small_location

@@ -77,6 +77,14 @@ RANK_TOLERANCE = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# numpy's expm1 returns exactly -1.0 at every argument <= -37.43 (measured
+# down to -1e300; e^-37.43 is below half an ulp of 1), so a Gaussian score
+# term whose exponent is <= _FAR_EXPONENT is exactly -weight.  The margin
+# covers the exponent's rounding, a few ulps of its offset, up to offsets
+# near 1e15; a larger offset underflows the weight e^{a log_norm - offset}/a
+# to zero, and the term is zero on either path.
+_FAR_EXPONENT = -40.0
+
 
 class DataFormatError(ValueError):
     """Raised when a data file cannot be parsed into a numeric dataset."""
@@ -110,6 +118,29 @@ class _RowGroups(NamedTuple):
     first: np.ndarray
     counts: np.ndarray
     inverse: np.ndarray
+
+
+class _FarScores(NamedTuple):
+    """Common contamination points t < lo or t > hi put every Gaussian
+    score term at exactly -weight, and ``scores`` are their row sums."""
+
+    lo: float
+    hi: float
+    scores: np.ndarray
+
+
+class _GaussianTerms(NamedTuple):
+    """The t-free parts of the Gaussian contamination scores: the means mu,
+    the factor and offset of the exponent factor (t - mu)^2 + offset, the
+    weights m/a (None at a = 0), the row groups, and the far scores (None
+    at a = 0 and for empty terms)."""
+
+    mu: np.ndarray
+    factor: object
+    offset: np.ndarray
+    weights: np.ndarray | None
+    groups: _RowGroups | None
+    far: _FarScores | None
 
 
 @dataclass(frozen=True)
@@ -567,6 +598,30 @@ def _zeta(alpha: float, sigma: float) -> float:
     return math.exp(alpha * _log_norm(sigma)) / sigma**2 * (1.0 + alpha) ** -1.5
 
 
+def _far_scores(mu, factor, offset, weights, groups) -> _FarScores | None:
+    """The far hull and far scores of a > 0 Gaussian terms (``_FarScores``),
+    or None for empty terms.
+
+    The far scores take the reductions of the full path,
+    ``summed_contamination_scores``, over the terms it would make there:
+    an array of -1.0 against the weights, or -weights against the counts.
+    """
+    if offset.size == 0:
+        return None
+    radius = offset - _FAR_EXPONENT
+    radius /= -factor
+    np.maximum(radius, 0.0, out=radius)
+    np.sqrt(radius, out=radius)
+    hi = float(np.max(mu + radius))
+    lo = float(np.min(np.subtract(mu, radius, out=radius)))
+    if groups is None:
+        radius.fill(-1.0)
+        scores = np.einsum("ij,ij->i", radius, weights)
+    else:
+        scores = np.dot(np.negative(weights, out=radius), groups.counts)
+    return _FarScores(lo, hi, scores)
+
+
 class LinearKnownSigma(ModelFamily):
     """Normal linear regression x_i ~ N(z_i'beta, sigma^2) with sigma known.
 
@@ -654,10 +709,18 @@ class LinearKnownSigma(ModelFamily):
         return _log_norm(sigma) - (sigma_g**2 + delta * delta) / (2.0 * sigma**2)
 
     def contamination_terms(self, thetas, alpha, theta_true, rows=slice(None)):
-        # a log f(t) - log m = (t - mu)^2 (-a/(2 sigma^2)) + c with mu = z'beta
-        # and the offset c = a log_norm - log m (log_norm - E log f at a = 0),
-        # so three t-free (m, k) arrays are held, mu, c and the weights m/a,
-        # and a point costs five element passes and one weighted row sum.
+        """The base method's terms in closed form (``_GaussianTerms``).
+
+        a log f(t) - log m = factor (t - mu)^2 + offset with mu = z'beta,
+        factor = -a/(2 sigma^2) and the offset c = a log_norm - log m
+        (log_norm - E log f at a = 0), so three t-free (m, k) arrays are
+        held, mu, c and the weights m/a, and a point costs five element
+        passes and one weighted row sum.  For a > 0 the terms also carry the
+        hull [lo, hi] of the intervals mu +- r, r = sqrt((c + 40)/-factor),
+        over every cell: a common point outside it puts every exponent at
+        or below -40, where expm1 is exactly -1, and the row sums of the
+        -weights that would give are made once here (``_far_scores``).
+        """
         # The expectation kernels' temporaries are freed before mu is made.
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         betas, sigma = self._split(thetas)
@@ -671,10 +734,24 @@ class LinearKnownSigma(ModelFamily):
             weights = np.exp(log_m, out=log_m)
             weights /= alpha
             factor = -0.5 * alpha / sigma**2
-        return betas @ self.design[rows].T, factor, offset, weights, groups
+        mu = betas @ self.design[rows].T
+        far = None if weights is None else _far_scores(mu, factor, offset, weights, groups)
+        return _GaussianTerms(mu, factor, offset, weights, groups, far)
 
     def summed_contamination_scores(self, terms, points):
-        mu, factor, offset, weights, groups = terms
+        """The base method's scores from ``_GaussianTerms``, the same bits.
+
+        A common point (one value) outside the far hull [lo, hi] of a > 0
+        terms costs a copy of the prepared far scores: every term there is
+        exactly -weight, so the full path would sum the same array in the
+        same order.  Every other point (a = 0, one point per index, or a
+        point inside the hull) runs the full path.
+        """
+        mu, factor, offset, weights, groups, far = terms
+        if far is not None and np.size(points) == 1:
+            t = np.asarray(points, dtype=float).item()
+            if t < far.lo or t > far.hi:
+                return far.scores.copy()
         if groups is not None and np.size(points) != 1:
             # np.take keeps the rows C-ordered; a fancy index on the columns
             # would return them F-ordered, and the row sums would change order.

@@ -290,12 +290,15 @@ class LossFunction:
     """Scalar-parameter loss L(theta, t) with derivatives in t.
 
     All three callables must broadcast over a numpy array of parameter draws
-    in their first argument.
+    in their first argument.  ``action``, when given, is the exact minimiser
+    action(draws, weights) of the weighted loss, which then replaces the
+    numerical search of ``_loss_minimizer``.
     """
 
     evaluate: callable
     d1: callable
     d2: callable
+    action: callable | None = None
 
 
 def squared_error_loss() -> LossFunction:
@@ -306,11 +309,32 @@ def squared_error_loss() -> LossFunction:
     )
 
 
+def _weighted_median(draws: np.ndarray, weights: np.ndarray) -> float:
+    """The smallest draw with at least half the weight at or below it, or
+    the midpoint between it and the next positive-weight draw when the
+    draws up to it carry exactly half.
+
+    The weights below and above each draw are summed separately, each from
+    its own end, so an even number of equal weights splits exactly and the
+    result is ``np.median``'s.
+    """
+    keep = weights > 0.0
+    order = np.argsort(draws[keep], kind="stable")
+    x, w = draws[keep][order], weights[keep][order]
+    below, above = np.cumsum(w), np.cumsum(w[::-1])[::-1]
+    enough = below[:-1] >= above[1:]
+    if not enough.any():
+        return float(x[-1])
+    j = int(np.argmax(enough))
+    return float(0.5 * (x[j] + x[j + 1])) if below[j] == above[j + 1] else float(x[j])
+
+
 def absolute_error_loss() -> LossFunction:
     return LossFunction(
         evaluate=lambda th, t: np.abs(t - th),
         d1=lambda th, t: np.sign(t - th),
         d2=lambda th, t: np.zeros_like(np.asarray(th, dtype=float)),
+        action=_weighted_median,
     )
 
 
@@ -618,9 +642,9 @@ def _flat_interval_midpoint(draws: np.ndarray, weights: np.ndarray, loss: LossFu
     to ``t`` on which the weighted loss derivative vanishes, to within the
     round-off bound of its sum, or ``t`` when there is none.
 
-    Such an interval is a set of minimisers: absolute error has one when the
-    draws below it carry exactly half the weight (an even number of equally
-    weighted draws), and its midpoint is ``np.median``'s convention.
+    Such an interval is a set of minimisers: Huber loss has one when the
+    draws below it carry exactly half the weight and lie more than delta
+    from it, and its midpoint is then that of the neighbouring draws.
     """
     support = np.unique(draws[weights > 0.0])
     if support.size < 2:
@@ -638,12 +662,15 @@ def _flat_interval_midpoint(draws: np.ndarray, weights: np.ndarray, loss: LossFu
 def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) -> float:
     """The action t minimising sum_i w_i L(theta_i, t) over scalar draws.
 
+    A loss with an exact ``action`` (absolute error) returns it.  Otherwise
     Newton from the weighted mean stops on a step below the round-off of
     |t| + the draws' range.  Where the weighted curvature is not positive or
     Newton does not settle, a bounded search takes over; where the loss is
     flat between two draws next to its result, the search returns that
     interval's midpoint (``_flat_interval_midpoint``).
     """
+    if loss.action is not None:
+        return loss.action(draws, weights)
     center = float(weights @ draws)
     lo, hi = float(draws.min()), float(draws.max())
     span = hi - lo
@@ -672,10 +699,11 @@ def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) 
 
 
 def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0) -> float:
-    """Minimize the Monte Carlo average loss over the action t: Newton from
-    the posterior mean, or a bounded search over the draws' range where the
-    averaged second derivative is not positive (absolute error).  Both stop
-    at the round-off of t, so the estimate shifts and scales with the draws.
+    """Minimize the Monte Carlo average loss over the action t: the exact
+    median for absolute error, else Newton from the posterior mean, or a
+    bounded search over the draws' range where the averaged second
+    derivative is not positive.  Both stop at the round-off of t, so the
+    estimate shifts and scales with the draws.
     """
     draws = chain.draws[:, component]
     return _loss_minimizer(draws, np.full(draws.size, 1.0 / draws.size), loss)

@@ -70,6 +70,27 @@ class TestObjectiveValue:
         tinier = alpha_likelihood(model, data, beta, 1e-8).value
         assert abs(tinier - (loglik - model.n)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "make, theta",
+        [
+            (LinearUnknownSigma, np.array([5.0, 2.0, 1.3])),
+            (Logistic, np.array([0.5, -1.0])),
+        ],
+        ids=["unknown-sigma", "logistic"],
+    )
+    def test_small_alpha_approaches_loglikelihood_minus_n_in_every_family(self, make, theta):
+        gen = np.random.default_rng(41)
+        design = np.column_stack([np.ones(12), gen.standard_normal(12)])
+        model = make(design)
+        data = Dataset(model.sample_responses(theta, gen), design)
+        loglik = float(np.sum(model.log_density_terms(data.responses, theta)))
+        exact = alpha_likelihood(model, data, theta, 0.0).value
+        assert exact == pytest.approx(loglik - model.n, abs=1e-12)
+        near = alpha_likelihood(model, data, theta, 1e-6).value
+        assert abs(near - (loglik - model.n)) < 1e-4
+        tinier = alpha_likelihood(model, data, theta, 1e-8).value
+        assert abs(tinier - (loglik - model.n)) < 1e-6
+
     def test_loss_sum_identity_up_to_constant(self, linear_problem):
         # Q + n/a = -(1/(1+a)) sum_i V_i exactly.
         model, data, beta = linear_problem
@@ -404,6 +425,23 @@ class TestFunctional:
     def test_small_alpha_functional_stability(self, location_problem):
         model, theta_g = location_problem
         theta = np.array([4.8])
+        tiny = alpha_likelihood_functional(model, InModel(theta_g), theta, 1e-8)
+        zero = alpha_likelihood_functional(model, InModel(theta_g), theta, 0.0)
+        assert abs(tiny - zero) < 1e-5
+
+    @pytest.mark.parametrize(
+        "model, theta_g, theta",
+        [
+            (LinearUnknownSigma(np.ones((20, 1))), np.array([5.0, 1.0]), np.array([4.8, 1.2])),
+            (
+                Logistic(np.column_stack([np.ones(20), np.linspace(-1.0, 1.0, 20)])),
+                np.array([0.5, -1.0]),
+                np.array([0.3, -0.8]),
+            ),
+        ],
+        ids=["unknown-sigma", "logistic"],
+    )
+    def test_small_alpha_functional_stability_in_every_family(self, model, theta_g, theta):
         tiny = alpha_likelihood_functional(model, InModel(theta_g), theta, 1e-8)
         zero = alpha_likelihood_functional(model, InModel(theta_g), theta, 0.0)
         assert abs(tiny - zero) < 1e-5

@@ -305,6 +305,30 @@ class TestSandwich:
             diffs.append(np.mean(np.abs(sw.psi_hat - sw.psi)))
         assert np.mean(diffs) < 0.05 * np.linalg.norm(sandwich(model, InModel(beta), beta, 0.3).psi)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["linear", "unknown-sigma", "logistic"]),
+        alpha=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matrices_are_symmetric_positive_definite(
+        self, linear_problem, unknown_sigma_problem, logistic_problem, family, alpha, seed
+    ):
+        model, data, truth = {
+            "linear": linear_problem,
+            "unknown-sigma": unknown_sigma_problem,
+            "logistic": logistic_problem,
+        }[family]
+        theta = truth + 0.2 * np.random.default_rng(seed).standard_normal(truth.size)
+        theta_hat = fit(model, data, alpha).theta_hat
+        matrices = [
+            *(getattr(sandwich(model, InModel(theta), theta, alpha), m) for m in ("psi", "omega")),
+            sandwich(model, data, theta_hat, alpha).psi_hat,
+        ]
+        for matrix in matrices:
+            assert np.array_equal(matrix, matrix.T)
+            assert np.linalg.eigvalsh(matrix)[0] > 0.0
+
     def test_contaminated_spec_rejected(self, linear_problem):
         from dpdbayes import Contaminated
 

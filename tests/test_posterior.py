@@ -37,7 +37,12 @@ from dpdbayes import (
     squared_error_loss,
 )
 from dpdbayes import fit as fit_mdpde
-from dpdbayes.posterior import PosteriorChain, _importance_sample, _log_posterior_rows
+from dpdbayes.posterior import (
+    PosteriorChain,
+    _importance_sample,
+    _log_posterior_rows,
+    _loss_minimizer,
+)
 
 
 class _SolveTriangularPrior(GaussianPrior):
@@ -466,6 +471,45 @@ def test_absolute_error_estimate_is_the_midpoint_of_the_middle_draws(shift):
     # convention, whatever point of the interval the search stops at.
     draws = shift + np.random.default_rng(13).standard_normal(2000)
     assert bayes_estimate(_chain_of(draws), absolute_error_loss()) == np.median(draws)
+
+
+def test_absolute_error_action_of_an_odd_count_is_the_middle_draw():
+    draws = np.array([3.0, 1.0, 2.0])
+    assert _loss_minimizer(draws, np.full(3, 1.0 / 3.0), absolute_error_loss()) == 2.0
+
+
+def test_absolute_error_action_skips_draws_without_weight():
+    # The draws at 1 and 3 carry half the weight each: every point between
+    # them minimises, whatever weightless draw lies in between.
+    draws = np.array([1.0, 1.5, 3.0])
+    assert _loss_minimizer(draws, np.array([0.5, 0.0, 0.5]), absolute_error_loss()) == 2.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 40),
+    shift=st.sampled_from([0.0, 1e6, -3e8]),
+    equal=st.booleans(),
+)
+def test_absolute_error_action_is_an_exact_shift_equivariant_weighted_median(
+    seed, count, shift, equal
+):
+    gen = np.random.default_rng(seed)
+    draws = gen.standard_normal(count)
+    moved = shift + draws
+    assume(np.unique(moved).size == count)  # the shift merges no two draws
+    weights = np.full(count, 1.0 / count) if equal else gen.random(count) + 0.01
+    loss = absolute_error_loss()
+    action = _loss_minimizer(moved, weights, loss)
+    if equal:
+        assert action == np.median(moved)
+    else:
+        # A middle draw, picked by the weights alone: the shift commutes.
+        assert action == _loss_minimizer(draws, weights, loss) + shift
+    # No draw gives a smaller weighted loss.
+    risk = lambda t: float(weights @ np.abs(moved - t))  # noqa: E731
+    assert risk(action) <= min(risk(t) for t in moved) * (1.0 + 2 * count * np.finfo(float).eps)
 
 
 class TestImportanceSampling:

@@ -313,6 +313,124 @@ def test_logistic_scores_are_bit_identical_to_the_formula(alpha):
         assert np.array_equal(got, expected)
 
 
+def _far_point_cases():
+    """(model, theta_g, parameter rows) of both Gaussian families, on a
+    design of one repeated row (scored per distinct row) and on one of
+    distinct rows; the free scale varies by row."""
+    gen = np.random.default_rng(61)
+    designs = [np.ones((12, 1)), np.column_stack([np.ones(12), gen.standard_normal(12)])]
+    cases = []
+    for design in designs:
+        p = design.shape[1]
+        beta_g = np.r_[5.0, np.ones(p - 1)]
+        for model, theta_g in [
+            (LinearKnownSigma(design, 1.3), beta_g),
+            (LinearUnknownSigma(design), np.r_[beta_g, 1.3]),
+        ]:
+            thetas = theta_g + 0.3 * gen.standard_normal((200, model.dim))
+            if model.scale_index is not None:
+                thetas[:, -1] = 0.6 + 1.2 * gen.random(200)
+            cases.append(pytest.param(model, theta_g, thetas, id=f"{type(model).__name__}-p{p}"))
+    return cases
+
+
+@pytest.fixture
+def expm1_calls(monkeypatch):
+    """A list that grows by one at every ``np.expm1`` call."""
+    calls = []
+    expm1 = np.expm1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    return calls
+
+
+class TestFarContaminationPoints:
+    @pytest.mark.parametrize("model, theta_g, thetas", _far_point_cases())
+    @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.8, 2.0])
+    def test_scores_outside_the_hull_skip_the_exponentials_with_the_same_bits(
+        self, model, theta_g, thetas, alpha, expm1_calls
+    ):
+        for scenario in [AllDirections(points=0.0), OneDirection(index=4, point=0.0)]:
+            rows, _ = _scenario_block(scenario)
+            terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+            full = terms._replace(far=None)
+            lo, hi = terms.far.lo, terms.far.hi
+            width = hi - lo
+            grid = np.r_[
+                np.linspace(lo - width, hi + width, 61),
+                [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf)],
+                [np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)],
+            ]
+            skipped = []
+            for t in grid:
+                before = len(expm1_calls)
+                got = model.summed_contamination_scores(terms, t)
+                skipped.append(len(expm1_calls) == before)
+                assert np.array_equal(got, model.summed_contamination_scores(full, t))
+            outside = (grid < lo) | (grid > hi)
+            assert np.array_equal(skipped, outside)
+            assert 0 < outside.sum() < grid.size
+
+    @pytest.mark.parametrize("model, theta_g, thetas", _far_point_cases())
+    def test_alpha_zero_and_per_index_points_take_the_full_path(
+        self, model, theta_g, thetas, expm1_calls
+    ):
+        assert model.contamination_terms(thetas, 0.0, theta_g).far is None
+        terms = model.contamination_terms(thetas, 0.5, theta_g)
+        # Every point of the vector lies outside the hull.
+        points = terms.far.hi + 1.0 + np.arange(model.n)
+        got = model.summed_contamination_scores(terms, points)
+        assert expm1_calls
+        full = model.summed_contamination_scores(terms._replace(far=None), points)
+        assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("shift", [1e7, 1e9, 1e12])
+    def test_offsets_beyond_the_rounding_margin_keep_the_bits(self, shift):
+        # Means this far from the truth put offsets of 3e13 to 3e23 in the
+        # exponent, whose rounding exceeds the margin beyond about 1e15; the
+        # weights underflow to zero there.  Compared bit for bit, signs of
+        # zero included.
+        model = LinearKnownSigma(np.ones((3, 1)), 1.0)
+        terms = model.contamination_terms(np.array([[shift], [5.5]]), 2.0, np.array([5.0]))
+        full = terms._replace(far=None)
+        lo, hi = terms.far.lo, terms.far.hi
+        steps = np.linspace(0.0, 1e-6, 50)
+        for t in np.r_[hi + steps * abs(hi), lo - steps * abs(lo)]:
+            got = model.summed_contamination_scores(terms, t)
+            expected = model.summed_contamination_scores(full, t)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_empty_terms_prepare_no_shortcut(self, location_setup):
+        model, spec, prior = location_setup
+        assert model.contamination_terms(np.empty((0, 1)), 0.5, spec.theta_g).far is None
+        pif = pseudo_influence(
+            model, spec, prior, 0.5, np.empty((0, 1)), [0.0, 50.0], McConfig(seed=1, draws=1000)
+        )
+        assert pif.surface.shape == (0, 2)
+
+    def test_influence_values_at_far_points_are_the_full_paths(self, location_setup, monkeypatch):
+        model, spec, prior = location_setup
+        mc = McConfig(seed=5, draws=2000)
+        t_grid = [-60.0, 5.0, 60.0]
+        values, errors, _ = influence_curve(model, spec, prior, 0.5, t_grid, mc)
+        far_one = OneDirection(index=2, point=60.0)
+        one = influence_posterior_mean(model, spec, prior, 0.5, far_one, mc)
+        terms_of = LinearKnownSigma.contamination_terms
+        monkeypatch.setattr(
+            LinearKnownSigma, "contamination_terms",
+            lambda *args: terms_of(*args)._replace(far=None),
+        )
+        full_values, full_errors, _ = influence_curve(model, spec, prior, 0.5, t_grid, mc)
+        full_one = influence_posterior_mean(model, spec, prior, 0.5, far_one, mc)
+        assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
+        assert np.array_equal(one.value, full_one.value)
+        assert np.array_equal(one.standard_error, full_one.standard_error)
+
+
 class TestFunctionalPosteriorSample:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_free_scale_draws_outside_the_parameter_space_are_dropped(self, alpha):

@@ -115,7 +115,7 @@ def alpha_likelihood(
     theta = model.validate_theta(theta)
     model.validate_data(data)
     x = data.responses
-    value = model.summed_q_value(x, theta, alpha)
+    value = float(model.summed_q_value_batch(x, theta, alpha)[0])
     if not derivatives:
         return AlphaLikelihoodValue(value=value, alpha=alpha)
     scale = -1.0 / (1.0 + alpha)

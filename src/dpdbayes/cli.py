@@ -149,9 +149,12 @@ class Config:
     def get_floats(self, sec: str, key: str) -> list[float]:
         raw = self.get(sec, key)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             raise CliError(f"{sec}.{key} must be a comma-separated number list") from None
+        if not values:
+            raise CliError(f"{sec}.{key} must list at least one number")
+        return values
 
     def get_ints(self, sec: str, key: str) -> list[int]:
         values = self.get_floats(sec, key)
@@ -381,11 +384,10 @@ def _cmd_influence(args, config: Config) -> int:
     prior = _build_prior(config, model.dim)
     seed = config.seed()
     digest = config.digest()
-    t_grid = np.arange(
-        config.get_float("experiment", "t_min"),
-        config.get_float("experiment", "t_max") + 1e-9,
-        config.get_float("experiment", "t_step"),
-    )
+    t_min, t_max, t_step = (config.get_float("experiment", k) for k in ("t_min", "t_max", "t_step"))
+    if not (t_step > 0.0 and t_min <= t_max):
+        raise CliError(f"experiment.t_step ({t_step}) must be > 0 and t_min ({t_min}) <= t_max ({t_max})")
+    t_grid = np.arange(t_min, t_max + 1e-9, t_step)
     mc = robustness.McConfig(seed=seed, draws=config.get_int("experiment", "mc_draws"))
     header = ["alpha", "t", "influence", "standard_error", "seed", "config"]
     rows: list[list] = []

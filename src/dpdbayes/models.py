@@ -13,15 +13,13 @@ analysis), the first and second parameter derivatives of the divergence loss
 
     V_i(x, theta) = integral f_i^{1+a} - (1 + 1/a) f_i^a(x),
 
-and their in-model expectations (for asymptotic covariances).  A family
-writes each quantity once, as a kernel batched over rows of parameters and
-over a block of observation indices ``rows`` (a slice or an index array);
-the one derivative kernel, ``loss_derivative_sums``, takes one parameter
-point and sums the gradient and the Hessian over the block.  The full-data
-single-parameter methods (``*_terms``, ``summed_q_value``, ``loss_grad_sum``,
-``loss_hess_sum``) and the per-index ones (``log_density``, ``density_power``,
-``integral_power``, ``dpd_loss*``) are slices of those kernels, defined once
-on ``ModelFamily``.
+and their in-model expectations (for asymptotic covariances).  A family is
+its kernels: each quantity is written once, batched over rows of parameters
+and over a block of observation indices ``rows`` (a slice or an index
+array), and the other layers call the kernels directly; the derivative
+kernel ``loss_derivative_sums`` sums the gradient and the Hessian at one
+parameter point.  The per-index API, ``dpd_loss``, ``dpd_loss_grad`` and
+``dpd_loss_hess``, reads V_i and its derivatives from them at one index.
 A family may override the hot paths with in-place kernels:
 ``summed_q_value_batch`` for the samplers, and ``contamination_terms`` with
 ``summed_contamination_scores`` for the robustness grids.  What the other
@@ -80,10 +78,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # numpy's expm1 returns exactly -1.0 at every argument <= -37.43 (measured
 # down to -1e300; e^-37.43 is below half an ulp of 1), so a Gaussian score
 # term whose exponent is <= _FAR_EXPONENT is exactly -weight.  The margin
-# covers the exponent's rounding, a few ulps of its offset, up to offsets
-# near 1e15; a larger offset underflows the weight e^{a log_norm - offset}/a
-# to zero, and the term is zero on either path.
+# covers the exponent's rounding, a few ulps of its offset (``_cap_offsets``).
 _FAR_EXPONENT = -40.0
+
+# log(DBL_MAX): numpy's exp and expm1 overflow above it and nowhere below.
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class DataFormatError(ValueError):
@@ -132,8 +131,8 @@ class _FarScores(NamedTuple):
 class _GaussianTerms(NamedTuple):
     """The t-free parts of the Gaussian contamination scores: the means mu,
     the factor and offset of the exponent factor (t - mu)^2 + offset, the
-    weights m/a (None at a = 0), the row groups, and the far scores (None
-    at a = 0 and for empty terms)."""
+    weights m/a (None at a = 0), the row groups, the far scores (None at
+    a = 0 and for empty terms) and the row shifts of ``_cap_offsets``."""
 
     mu: np.ndarray
     factor: object
@@ -141,6 +140,7 @@ class _GaussianTerms(NamedTuple):
     weights: np.ndarray | None
     groups: _RowGroups | None
     far: _FarScores | None
+    shift: tuple[np.ndarray, np.ndarray] | None
 
 
 @dataclass(frozen=True)
@@ -499,78 +499,27 @@ class ModelFamily(ABC):
             work /= alpha
         return work.sum(axis=1) if groups is None else np.dot(work, groups.counts)
 
-    # ---- slices of the kernels -------------------------------------------
-
-    def summed_q_value(self, x: np.ndarray, theta: np.ndarray, alpha: float) -> float:
-        """``summed_q_value_batch`` at a single parameter point."""
-        return float(self.summed_q_value_batch(x, theta, alpha)[0])
-
-    def log_density_terms(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """log f_i(x_i) for every index, as an (n,) array."""
-        return self.log_density_batch(x, theta)[0]
-
-    def log_power_integral_terms(self, theta: np.ndarray, alpha: float) -> np.ndarray:
-        """log of integral f_i^{1+alpha} for every index, as an (n,) array."""
-        return self.log_power_integral_batch(theta, alpha)[0]
-
-    def log_power_expectation_terms(
-        self, theta: np.ndarray, alpha: float, theta_true: np.ndarray
-    ) -> np.ndarray:
-        """log of integral f_{i,theta}^alpha dG_i with G_i in-model at theta_true."""
-        return self.log_power_expectation_batch(theta, alpha, theta_true)[0]
-
-    def log_density_expectation_terms(
-        self, theta: np.ndarray, theta_true: np.ndarray
-    ) -> np.ndarray:
-        """integral of log f_{i,theta} dG_i with G_i in-model at theta_true."""
-        return self.log_density_expectation_batch(theta, theta_true)[0]
-
-    def loss_grad_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
-        """The gradient of ``loss_derivative_sums``."""
-        return self.loss_derivative_sums(x, theta, alpha, rows)[0]
-
-    def loss_hess_sum(self, x, theta: np.ndarray, alpha: float, rows=slice(None)) -> np.ndarray:
-        """The Hessian of ``loss_derivative_sums``."""
-        return self.loss_derivative_sums(x, theta, alpha, rows)[1]
-
-    def log_density(self, i, x, theta):
-        """log f_i(x) at an index or an index array."""
-        out = self.log_density_batch(x, self.validate_theta(theta), self._check_index(i))[0]
-        return float(out[0]) if out.size == 1 and np.isscalar(i) else out
-
-    def density_power(self, i, x, theta, alpha: float):
-        """f_i^alpha(x); equals 1 identically at alpha = 0."""
-        if alpha != 0.0:
-            return np.exp(alpha * self.log_density(i, x, theta))
-        self.validate_theta(theta)
-        out = np.ones(np.broadcast(self._check_index(i), np.asarray(x, dtype=float)).shape)
-        return float(out[0]) if np.isscalar(i) and np.isscalar(x) else out
-
-    def integral_power(self, i, theta, alpha: float):
-        """integral of f_i^{1+alpha}; equals 1 at alpha = 0 (normalization)."""
-        theta = self.validate_theta(theta)
-        vals = np.exp(self.log_power_integral_batch(theta, alpha, self._check_index(i))[0])
-        return float(vals[0]) if np.isscalar(i) else vals
-
 
 def dpd_loss(model: ModelFamily, i: int, x: float, theta, alpha: float) -> float:
     """Per-observation divergence loss V_i(x, theta) for alpha > 0."""
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"dpd_loss requires a finite alpha > 0, got {alpha}")
-    power = model.density_power(i, x, theta, alpha)
-    return float(model.integral_power(i, theta, alpha) - (1.0 + 1.0 / alpha) * power)
+    theta, rows = model.validate_theta(theta), model._check_index(int(i))
+    power = np.exp(alpha * model.log_density_batch(float(x), theta, rows)[0, 0])
+    integral = np.exp(model.log_power_integral_batch(theta, alpha, rows)[0, 0])
+    return float(integral - (1.0 + 1.0 / alpha) * power)
 
 
 def dpd_loss_grad(model: ModelFamily, i: int, x: float, theta, alpha: float) -> np.ndarray:
     """Analytic parameter gradient of V_i(x, theta); valid for alpha >= 0."""
     theta = model.validate_theta(theta)
-    return model.loss_grad_sum([float(x)], theta, alpha, model._check_index(int(i)))
+    return model.loss_derivative_sums([float(x)], theta, alpha, model._check_index(int(i)))[0]
 
 
 def dpd_loss_hess(model: ModelFamily, i: int, x: float, theta, alpha: float) -> np.ndarray:
     """Analytic parameter Hessian of V_i(x, theta); valid for alpha >= 0."""
     theta = model.validate_theta(theta)
-    return model.loss_hess_sum([float(x)], theta, alpha, model._check_index(int(i)))
+    return model.loss_derivative_sums([float(x)], theta, alpha, model._check_index(int(i)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +569,26 @@ def _far_scores(mu, factor, offset, weights, groups) -> _FarScores | None:
     else:
         scores = np.dot(np.negative(weights, out=radius), groups.counts)
     return _FarScores(lo, hi, scores)
+
+
+def _cap_offsets(offset, weights, alpha: float, a_log_norm, groups):
+    """Cap the offsets c above ``_LOG_MAX`` in place, with their weights
+    w = e^{a log_norm - c}/a, and return the row shifts that keep the
+    scores, as (rows, values), or None.  Such a w is subnormal or zero, and
+    near mu expm1 overflows: inf * 0.  Yet expm1(factor (t - mu)^2 + c) w
+    is expm1(factor (t - mu)^2 + c') w' + w' - w for any c', and the cap
+    c' = min(a log_norm + 700, _LOG_MAX) keeps w' normal and expm1 finite;
+    the t-free w' - w are summed per row (times grouped terms' counts)."""
+    rows, cols = np.nonzero(offset > _LOG_MAX)
+    if rows.size == 0:
+        return None
+    a_log_norm = np.broadcast_to(a_log_norm, offset.shape)[rows, cols]
+    cap = np.minimum(a_log_norm + 700.0, _LOG_MAX)
+    capped = np.exp(a_log_norm - cap) / alpha
+    gaps = (capped - weights[rows, cols]) * (1.0 if groups is None else groups.counts[cols])
+    offset[rows, cols], weights[rows, cols] = cap, capped
+    shifted, where = np.unique(rows, return_inverse=True)
+    return shifted, np.bincount(where, gaps)
 
 
 class LinearKnownSigma(ModelFamily):
@@ -727,19 +696,23 @@ class LinearKnownSigma(ModelFamily):
         rows, groups = self._grouped_rows(rows)
         if alpha == 0.0:
             offset = _log_norm(sigma) - self.log_density_expectation_batch(thetas, theta_true, rows)
-            factor, weights = -0.5 / sigma**2, None
+            factor, weights, shift = -0.5 / sigma**2, None, None
         else:
             log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
             offset = alpha * _log_norm(sigma) - log_m
             weights = np.exp(log_m, out=log_m)
             weights /= alpha
             factor = -0.5 * alpha / sigma**2
+            shift = _cap_offsets(offset, weights, alpha, alpha * _log_norm(sigma), groups)
         mu = betas @ self.design[rows].T
         far = None if weights is None else _far_scores(mu, factor, offset, weights, groups)
-        return _GaussianTerms(mu, factor, offset, weights, groups, far)
+        if far is not None and shift is not None:
+            far.scores[shift[0]] += shift[1]
+        return _GaussianTerms(mu, factor, offset, weights, groups, far, shift)
 
     def summed_contamination_scores(self, terms, points):
-        """The base method's scores from ``_GaussianTerms``, the same bits.
+        """The base method's scores from ``_GaussianTerms``, the same bits
+        in every row without a capped offset (``_cap_offsets``).
 
         A common point (one value) outside the far hull [lo, hi] of a > 0
         terms costs a copy of the prepared far scores: every term there is
@@ -747,7 +720,7 @@ class LinearKnownSigma(ModelFamily):
         same order.  Every other point (a = 0, one point per index, or a
         point inside the hull) runs the full path.
         """
-        mu, factor, offset, weights, groups, far = terms
+        mu, factor, offset, weights, groups, far, shift = terms
         if far is not None and np.size(points) == 1:
             t = np.asarray(points, dtype=float).item()
             if t < far.lo or t > far.hi:
@@ -768,11 +741,15 @@ class LinearKnownSigma(ModelFamily):
             if weights is not None:
                 np.expm1(work, out=work)
                 work *= weights
-            return np.dot(work, groups.counts)
-        if weights is None:
+            scores = np.dot(work, groups.counts)
+        elif weights is None:
             return np.einsum("ij->i", work)
-        np.expm1(work, out=work)
-        return np.einsum("ij,ij->i", work, weights)
+        else:
+            np.expm1(work, out=work)
+            scores = np.einsum("ij,ij->i", work, weights)
+        if shift is not None:
+            scores[shift[0]] += shift[1]
+        return scores
 
     def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
         beta, sigma = self._split(theta)
@@ -821,13 +798,6 @@ class LinearKnownSigma(ModelFamily):
         total /= alpha
         total -= self.n / (1.0 + alpha) * np.exp(_log_power_integral(alpha, log_norm))
         return total[:, 0]
-
-    def zeta(self, alpha: float) -> float:
-        """Curvature constant (2 pi)^{-a/2} sigma^{-(a+2)} (1+a)^{-3/2} of the
-        known scale: psi = zeta(a) Z'Z/n and omega = zeta(2a) Z'Z/n."""
-        if self.scale_index is not None:
-            raise TypeError("closed form available for the known-scale linear model only")
-        return _zeta(alpha, self.sigma)
 
     def in_model_psi_omega(self, theta, alpha):
         _, sigma = self._split(np.asarray(theta, dtype=float))

@@ -62,7 +62,7 @@ class TestObjectiveValue:
         model = LinearKnownSigma(design, 1.0)
         beta = np.array([5.0, 2.0])
         data = Dataset(model.sample_responses(beta, gen), design)
-        loglik = float(np.sum(model.log_density_terms(data.responses, beta)))
+        loglik = float(np.sum(model.log_density_batch(data.responses, beta)[0]))
         near = alpha_likelihood(model, data, beta, 1e-6).value
         exact = alpha_likelihood(model, data, beta, 0.0).value
         assert exact == pytest.approx(loglik - model.n, abs=1e-12)
@@ -83,7 +83,7 @@ class TestObjectiveValue:
         design = np.column_stack([np.ones(12), gen.standard_normal(12)])
         model = make(design)
         data = Dataset(model.sample_responses(theta, gen), design)
-        loglik = float(np.sum(model.log_density_terms(data.responses, theta)))
+        loglik = float(np.sum(model.log_density_batch(data.responses, theta)[0]))
         exact = alpha_likelihood(model, data, theta, 0.0).value
         assert exact == pytest.approx(loglik - model.n, abs=1e-12)
         near = alpha_likelihood(model, data, theta, 1e-6).value
@@ -376,7 +376,7 @@ class TestFunctional:
             x = z * 0.7 + gen.standard_normal(draws)
             ll = -0.5 * np.log(2 * np.pi) - 0.5 * (x - z * 0.3) ** 2
             term = np.expm1(alpha * ll) / alpha - float(
-                np.exp(model.log_power_integral_terms(theta, alpha))[i]
+                np.exp(model.log_power_integral_batch(theta, alpha)[0, i])
             ) / (1 + alpha)
             total += term
         mc, se = float(total.mean()), float(total.std(ddof=1) / math.sqrt(draws))
@@ -410,10 +410,10 @@ class TestFunctional:
             model, Contaminated(theta_g, eps, point), theta, alpha
         )
         clean_part = np.exp(
-            model.log_power_expectation_terms(theta, alpha, theta_g)
+            model.log_power_expectation_batch(theta, alpha, theta_g)[0]
         )
-        atom_part = np.exp(alpha * model.log_density_terms(np.full(model.n, point), theta))
-        ints = np.exp(model.log_power_integral_terms(theta, alpha))
+        atom_part = np.exp(alpha * model.log_density_batch(np.full(model.n, point), theta)[0])
+        ints = np.exp(model.log_power_integral_batch(theta, alpha)[0])
         expected = float(
             np.sum(
                 ((1 - eps) * clean_part + eps * atom_part - 1.0) / alpha

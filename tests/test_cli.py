@@ -321,6 +321,43 @@ class TestConfigValues:
         key = setting.split("=")[0]
         assert capsys.readouterr().err == f"error: {key} must be a comma-separated integer list\n"
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("influence", "experiment.alphas"),
+            ("breakdown", "experiment.magnitudes"),
+            ("bvm", "experiment.n_grid"),
+            ("bvm", "experiment.seeds"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_exits_one_without_output(self, command, key, value, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = main([command, "--seed", "1", "--out", str(outdir), "--set", f"{key}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must list at least one number\n"
+        assert not list(outdir.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "settings, step, low, high",
+        [
+            (["experiment.t_step=0"], "0.0", "-100.0", "100.0"),
+            (["experiment.t_step=-1"], "-1.0", "-100.0", "100.0"),
+            (["experiment.t_step=nan"], "nan", "-100.0", "100.0"),
+            (["experiment.t_min=5", "experiment.t_max=4"], "0.5", "5.0", "4.0"),
+        ],
+    )
+    def test_empty_influence_grid_exits_one_without_output(
+        self, settings, step, low, high, tmp_path, capsys
+    ):
+        outdir = tmp_path / "out"
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        code = main(["influence", "--seed", "1", "--out", str(outdir), *overrides])
+        assert code == 1
+        message = f"experiment.t_step ({step}) must be > 0 and t_min ({low}) <= t_max ({high})"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(outdir.glob("*.csv"))
+
     def test_integral_float_list_entries_are_read(self):
         from dpdbayes.cli import Config
 

@@ -49,8 +49,7 @@ class TestEfficiency:
         sigma = 1.37
         for alpha in np.linspace(0.0, 1.0, 51):
             report = efficiency(float(alpha), sigma)
-            model = LinearKnownSigma(np.ones((2, 1)), sigma)
-            lhs = model.zeta(2 * float(alpha)) / model.zeta(float(alpha)) ** 2
+            lhs = efficiency(2 * float(alpha), sigma).zeta_alpha / report.zeta_alpha**2
             assert lhs == pytest.approx(sigma**2 * report.upsilon_beta, abs=1e-12)
 
     def test_sigma_variance_matches_sandwich_blocks(self):

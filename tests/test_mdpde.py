@@ -269,8 +269,10 @@ class TestSandwich:
         alpha = 0.4
         sw = sandwich(model, InModel(beta), beta, alpha)
         gram = data.design.T @ data.design / model.n
-        assert np.allclose(sw.psi, model.zeta(alpha) * gram, atol=1e-12)
-        assert np.allclose(sw.omega, model.zeta(2 * alpha) * gram, atol=1e-12)
+        zeta = efficiency(alpha, model.sigma).zeta_alpha
+        zeta_2 = efficiency(2 * alpha, model.sigma).zeta_alpha
+        assert np.allclose(sw.psi, zeta * gram, atol=1e-12)
+        assert np.allclose(sw.omega, zeta_2 * gram, atol=1e-12)
 
     def test_logistic_zero_design_gives_zero_matrices(self):
         model = Logistic(np.zeros((5, 1)))
@@ -357,7 +359,10 @@ class TestAsymptoticCovariance:
         # upsilon_beta = zeta(2a)/zeta(a)^2 on a fine grid.
         model, _, _ = linear_problem
         for alpha in np.linspace(0.0, 1.0, 21):
-            lhs = model.zeta(2 * alpha) / model.zeta(alpha) ** 2
+            lhs = (
+                efficiency(2 * alpha, model.sigma).zeta_alpha
+                / efficiency(alpha, model.sigma).zeta_alpha ** 2
+            )
             rhs = efficiency(float(alpha)).upsilon_beta
             assert lhs == pytest.approx(rhs, abs=1e-12)
 

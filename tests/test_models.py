@@ -231,14 +231,15 @@ class TestPowerIntegrals:
                 if isinstance(model, LinearUnknownSigma)
                 else gen.standard_normal(2)
             )
-            vals = model.integral_power(np.arange(4), theta, 0.0)
+            vals = np.exp(model.log_power_integral_batch(theta, 0.0)[0])
             assert np.allclose(vals, 1.0, atol=1e-10)
-            assert model.density_power(0, 0.3, theta, 0.0) == pytest.approx(1.0)
+            point = 1.0 if isinstance(model, Logistic) else 0.3
+            assert np.exp(0.0 * model.log_density_batch(point, theta, [0])[0, 0]) == pytest.approx(1.0)
 
     def test_linear_closed_form_is_design_free(self):
         model = LinearKnownSigma(np.array([[1.0], [5.0]]), 2.0)
         for alpha in [0.1, 0.5, 1.0]:
-            vals = model.integral_power(np.array([0, 1]), [0.3], alpha)
+            vals = np.exp(model.log_power_integral_batch([0.3], alpha, np.array([0, 1]))[0])
             expected = (2 * math.pi) ** (-alpha / 2) * 2.0**-alpha * (1 + alpha) ** -0.5
             assert np.allclose(vals, expected, atol=1e-14)
 
@@ -253,7 +254,9 @@ class TestPowerIntegrals:
             return pdf ** (1 + alpha)
 
         numeric, _ = integrate.quad(integrand, -12, 12, epsabs=1e-12)
-        assert model.integral_power(0, theta, alpha) == pytest.approx(numeric, abs=1e-8)
+        assert np.exp(model.log_power_integral_batch(theta, alpha, [0])[0, 0]) == pytest.approx(
+            numeric, abs=1e-8
+        )
 
     def test_logistic_two_term_sum(self):
         model = Logistic(np.array([[0.7]]))
@@ -261,13 +264,13 @@ class TestPowerIntegrals:
         p1 = model.success_probabilities(theta)[0]
         for alpha in [0.2, 1.0]:
             expected = p1 ** (1 + alpha) + (1 - p1) ** (1 + alpha)
-            assert model.integral_power(0, theta, alpha) == pytest.approx(expected)
+            assert np.exp(model.log_power_integral_batch(theta, alpha, [0])[0, 0]) == pytest.approx(expected)
 
     def test_logistic_probabilities_sum_to_one(self, logistic_problem):
         model, _, beta = logistic_problem
         p1 = model.success_probabilities(beta)
         assert np.all((p1 > 0) & (p1 < 1))
-        p0 = np.exp(model.log_density(np.arange(model.n), np.zeros(model.n), beta))
+        p0 = np.exp(model.log_density_batch(np.zeros(model.n), beta)[0])
         assert np.allclose(p0 + p1, 1.0, atol=1e-14)
 
 
@@ -278,7 +281,7 @@ class TestExpectations:
         model = LinearKnownSigma(np.array([[1.0], [2.0]]), 1.1)
         theta, theta_g = np.array([0.8]), np.array([0.2])
         for alpha in [0.15, 0.6]:
-            closed = np.exp(model.log_power_expectation_terms(theta, alpha, theta_g))
+            closed = np.exp(model.log_power_expectation_batch(theta, alpha, theta_g)[0])
             for i, z in enumerate([1.0, 2.0]):
                 def integrand(x):
                     f = math.exp(-0.5 * (x - z * 0.8) ** 2 / 1.1**2) / (1.1 * math.sqrt(2 * math.pi))
@@ -291,7 +294,7 @@ class TestExpectations:
         model = LinearUnknownSigma(np.array([[1.0]]))
         theta, theta_g = np.array([0.5, 0.9]), np.array([-0.2, 1.4])
         alpha = 0.4
-        closed = float(np.exp(model.log_power_expectation_terms(theta, alpha, theta_g))[0])
+        closed = float(np.exp(model.log_power_expectation_batch(theta, alpha, theta_g)[0, 0]))
 
         def integrand(x):
             f = math.exp(-0.5 * (x - 0.5) ** 2 / 0.9**2) / (0.9 * math.sqrt(2 * math.pi))
@@ -304,7 +307,7 @@ class TestExpectations:
     def test_expected_log_density_vs_quadrature(self):
         model = LinearKnownSigma(np.array([[1.5]]), 0.7)
         theta, theta_g = np.array([1.0]), np.array([0.3])
-        closed = float(model.log_density_expectation_terms(theta, theta_g)[0])
+        closed = float(model.log_density_expectation_batch(theta, theta_g)[0, 0])
 
         def integrand(x):
             g = math.exp(-0.5 * (x - 1.5 * 0.3) ** 2 / 0.7**2) / (0.7 * math.sqrt(2 * math.pi))
@@ -346,14 +349,14 @@ class TestQuadratureFamily:
         theta = np.array([0.6])
         alpha = 0.35
         assert np.allclose(
-            np.exp(generic.log_power_integral_terms(theta, alpha)),
-            np.exp(builtin.log_power_integral_terms(theta, alpha)),
+            np.exp(generic.log_power_integral_batch(theta, alpha)[0]),
+            np.exp(builtin.log_power_integral_batch(theta, alpha)[0]),
             atol=1e-9,
         )
         x = np.array([0.2, -0.4])
         assert np.allclose(
-            generic.loss_grad_sum(x, theta, alpha),
-            builtin.loss_grad_sum(x, theta, alpha),
+            generic.loss_derivative_sums(x, theta, alpha)[0],
+            builtin.loss_derivative_sums(x, theta, alpha)[0],
             atol=1e-5,
         )
 
@@ -399,9 +402,6 @@ def test_family_with_one_derivative_kernel_gets_every_derivative_route(
     inner, data, theta = linear_problem if inner_name == "known" else logistic_problem
     model = _OneDerivativeKernel(inner)
     x, alpha = data.responses, 0.4
-    grad, hess = inner.loss_derivative_sums(x, theta, alpha)
-    assert np.array_equal(model.loss_grad_sum(x, theta, alpha), grad)
-    assert np.array_equal(model.loss_hess_sum(x, theta, alpha), hess)
     for i in (0, model.n - 1):
         assert np.array_equal(
             dpd_loss_grad(model, i, x[i], theta, alpha), dpd_loss_grad(inner, i, x[i], theta, alpha)
@@ -432,7 +432,7 @@ def _slice_cases(gen):
 
 
 class TestKernelSlices:
-    """Per-index and single-point methods are slices of the batched kernels."""
+    """Per-index losses and single-point values read the batched kernels."""
 
     def test_per_index_derivatives_sum_to_full_data(self):
         gen = np.random.default_rng(11)
@@ -441,12 +441,9 @@ class TestKernelSlices:
                 alpha = float(gen.uniform(0.0, 0.8)) if trial else 0.0
                 grads = [dpd_loss_grad(model, i, x[i], theta, alpha) for i in range(model.n)]
                 hessians = [dpd_loss_hess(model, i, x[i], theta, alpha) for i in range(model.n)]
-                assert np.allclose(
-                    np.sum(grads, axis=0), model.loss_grad_sum(x, theta, alpha), atol=1e-10
-                )
-                assert np.allclose(
-                    np.sum(hessians, axis=0), model.loss_hess_sum(x, theta, alpha), atol=1e-10
-                )
+                grad, hess = model.loss_derivative_sums(x, theta, alpha)
+                assert np.allclose(np.sum(grads, axis=0), grad, atol=1e-10)
+                assert np.allclose(np.sum(hessians, axis=0), hess, atol=1e-10)
 
     def test_single_point_value_is_batch_row(self):
         gen = np.random.default_rng(12)
@@ -455,7 +452,9 @@ class TestKernelSlices:
                 rows = theta + 0.1 * gen.standard_normal((4, theta.size))
                 rows[0] = theta
                 batch = model.summed_q_value_batch(x, rows, alpha)
-                assert model.summed_q_value(x, theta, alpha) == pytest.approx(batch[0], rel=1e-13)
+                single = model.summed_q_value_batch(x, theta, alpha)
+                assert single.shape == (1,)
+                assert single[0] == pytest.approx(batch[0], rel=1e-13)
                 assert batch.shape == (4,)
 
     def test_known_scale_is_coefficient_block_of_unknown(self):
@@ -470,13 +469,10 @@ class TestKernelSlices:
             thetas = np.column_stack([betas, np.full(3, sigma)])
             x = design @ beta_g + sigma * gen.standard_normal(7)
             alpha = float(gen.uniform(0.0, 1.0))
-            assert np.allclose(
-                known.loss_grad_sum(x, beta, alpha), unknown.loss_grad_sum(x, theta, alpha)[:2]
-            )
-            assert np.allclose(
-                known.loss_hess_sum(x, beta, alpha),
-                unknown.loss_hess_sum(x, theta, alpha)[:2, :2],
-            )
+            known_grad, known_hess = known.loss_derivative_sums(x, beta, alpha)
+            unknown_grad, unknown_hess = unknown.loss_derivative_sums(x, theta, alpha)
+            assert np.allclose(known_grad, unknown_grad[:2])
+            assert np.allclose(known_hess, unknown_hess[:2, :2])
             for k, u in zip(
                 known.in_model_psi_omega(beta, alpha), unknown.in_model_psi_omega(theta, alpha)
             ):
@@ -507,10 +503,6 @@ class TestKernelSlices:
         r_block = 0.5 - betas @ design[[3, 0]].T
         block = LinearKnownSigma(design, 1.7).log_density_batch(0.5, betas, [3, 0])
         assert np.array_equal(block, _log_norm(1.7) - r_block * r_block / (2.0 * 1.7**2))
-
-    def test_zeta_rejects_free_scale(self):
-        with pytest.raises(TypeError, match="known-scale linear model only"):
-            LinearUnknownSigma(np.ones((20, 1))).zeta(0.5)
 
 
 class _CountingGaussian(_GaussianViaQuadrature):
@@ -549,7 +541,7 @@ class TestQuadratureDerivatives:
     def test_vanishing_integral_names_the_index(self):
         model = _GaussianViaQuadrature(np.array([[1.0], [1.0]]))
         with pytest.raises(ValueError, match="index 1"):
-            model.integral_power(1, [1e3], 0.5)
+            model.log_power_integral_batch([1e3], 0.5, [1])
 
 
 def _ulp_error(value: float, exact: Decimal) -> float:
@@ -598,8 +590,7 @@ class TestLogisticSoftplus:
             outputs.extend(model.in_model_psi_omega(beta, 0.5))
             for alpha in (0.0, 0.5):
                 outputs.append(model.summed_q_value_batch(x, betas, alpha))
-                outputs.append(model.loss_grad_sum(x, beta, alpha))
-                outputs.append(model.loss_hess_sum(x, beta, alpha))
+                outputs.extend(model.loss_derivative_sums(x, beta, alpha))
         assert np.all(np.abs(design @ beta) >= 700.0)
         for out in outputs:
             assert np.all(np.isfinite(out))

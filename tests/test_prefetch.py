@@ -42,7 +42,7 @@ def _sequential_sample(model, data, prior, alpha, config, start=None):
             return -np.inf
         if scale_index is not None and theta[scale_index] <= 0.0:
             return -np.inf
-        return model.summed_q_value(x, theta, alpha) + lp
+        return float(model.summed_q_value_batch(x, theta, alpha)[0]) + lp
 
     if start is not None:
         current = model.validate_theta(np.asarray(start, dtype=float))

@@ -80,7 +80,7 @@ class TestContaminationScore:
         alpha = 0.4
         theta = np.array([5.0])
         limit = -float(
-            np.exp(model.log_power_expectation_terms(theta, alpha, spec.theta_g))[0]
+            np.exp(model.log_power_expectation_batch(theta, alpha, spec.theta_g)[0, 0])
         ) / alpha
         far = contamination_score(model, spec, 0, theta, 1e6, alpha)
         assert far == pytest.approx(limit, rel=1e-12)
@@ -88,7 +88,7 @@ class TestContaminationScore:
         values = [contamination_score(model, spec, 0, theta, t, alpha) for t in grid]
         bound = (1.0 / alpha) * max(
             1.0,
-            float(np.exp(model.log_power_expectation_terms(theta, alpha, spec.theta_g))[0]),
+            float(np.exp(model.log_power_expectation_batch(theta, alpha, spec.theta_g)[0, 0])),
         )
         assert max(abs(v) for v in values) < bound
 
@@ -429,6 +429,103 @@ class TestFarContaminationPoints:
         assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
         assert np.array_equal(one.value, full_one.value)
         assert np.array_equal(one.standard_error, full_one.standard_error)
+
+
+def _overflow_cases():
+    """(model, theta_g, parameter rows) of both Gaussian families with means
+    from -100 to 100 against a truth at 5: at a = 0.5 the offsets of the rows
+    farthest from the truth exceed log(DBL_MAX), and the row at 71.5 has a
+    subnormal weight m/a.  On a design of one repeated row and on one of
+    distinct rows."""
+    designs = {"grouped": np.ones((6, 1)), "distinct": np.linspace(0.5, 1.5, 6)[:, None]}
+    means = np.r_[np.linspace(-100.0, 100.0, 9), 71.5][:, None]
+    cases = []
+    for kind, design in designs.items():
+        for model, theta_g, thetas in [
+            (LinearKnownSigma(design, 1.0), np.array([5.0]), means),
+            (LinearUnknownSigma(design), np.array([5.0, 1.0]),
+             np.column_stack([means, np.linspace(0.8, 1.2, 10)])),
+        ]:
+            cases.append(pytest.param(model, theta_g, thetas, id=f"{type(model).__name__}-{kind}"))
+    return cases
+
+
+class TestOverflowingScores:
+    """Parameter rows far from the truth, whose weight m/a underflows where
+    expm1 of the exponent overflows, score f^a(t)/a - m/a, never inf * 0."""
+
+    @pytest.mark.parametrize(
+        "model, theta, theta_g",
+        [
+            (LinearKnownSigma(np.ones((20, 1)), 1.0), [100.0], [5.0]),
+            (LinearUnknownSigma(np.ones((20, 1))), [100.0, 1.0], [5.0, 1.0]),
+        ],
+        ids=["known", "unknown"],
+    )
+    def test_score_at_the_mean_of_a_far_row(self, model, theta, theta_g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = contamination_score(model, InModel(theta_g), 0, theta, 100.0, 0.5)
+        exact, _ = _reference_score(model, np.array(theta), np.array(theta_g), 0.5, [0], 100.0)
+        assert k == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        assert k == pytest.approx(1.26324, abs=1e-5)
+
+    @pytest.mark.parametrize("model, theta_g, thetas", _overflow_cases())
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_scores_match_the_60_digit_reference(self, model, theta_g, thetas, alpha):
+        # Relative accuracy down to the smallest normal double; a subnormal
+        # score cannot hold 12 digits.
+        tiny = np.finfo(float).tiny
+        offsets = np.linspace(-3.0, 3.0, model.n)
+        for t in np.r_[np.linspace(-100.0, 100.0, 9), 60.0]:
+            for scenario in _score_scenarios(float(t), offsets):
+                rows, points = _scenario_block(scenario)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+                    got = _summed_scores(model, terms, points)
+                idx = range(model.n) if rows == slice(None) else rows
+                for theta, value in zip(thetas, got):
+                    exact, _ = _reference_score(model, theta, theta_g, alpha, idx, points)
+                    assert float(value) == pytest.approx(float(exact), rel=1e-12, abs=tiny)
+
+    def test_row_far_beyond_the_rounding_margin(self):
+        # A row 1e100 from the truth, whose uncapped offset left a rounding
+        # residue near 1e183 in the exponent at the far hull's edge.
+        model = LinearKnownSigma(np.ones((3, 1)), 1.0)
+        thetas, theta_g = np.array([[1e100], [5.5]]), np.array([5.0])
+        terms = model.contamination_terms(thetas, 2.0, theta_g)
+        hi = terms.far.hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in [np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf), 5.5]:
+                got = model.summed_contamination_scores(terms, t)
+                full = model.summed_contamination_scores(terms._replace(far=None), t)
+                assert np.array_equal(got, full) and np.all(np.isfinite(got))
+                for theta, value in zip(thetas, got):
+                    exact, _ = _reference_score(model, theta, theta_g, 2.0, range(3), t)
+                    assert value == pytest.approx(float(exact), rel=1e-12, abs=np.finfo(float).tiny)
+
+    def test_wide_pseudo_influence_grid_is_finite_and_exact(self, location_setup):
+        model, spec, prior = location_setup
+        theta_grid = np.linspace(-100.0, 100.0, 21)[:, None]
+        t_grid = np.linspace(-100.0, 100.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pif = pseudo_influence(
+                model, spec, prior, 0.5, theta_grid, t_grid, McConfig(seed=1, draws=2000)
+            )
+        assert np.all(np.isfinite(pif.surface))
+        # Every index shares the one design row, so the summed score is n
+        # times index 0's; a column of the surface is the grid's scores less
+        # one centering constant.
+        for j, t in enumerate(t_grid):
+            exact = np.array([
+                float(model.n * _reference_score(model, th, spec.theta_g, 0.5, [0], t)[0])
+                for th in theta_grid
+            ])
+            centering = exact - pif.surface[:, j]
+            assert np.all(np.abs(centering - centering[0]) <= 1e-12 * np.abs(exact).max())
 
 
 class TestFunctionalPosteriorSample:

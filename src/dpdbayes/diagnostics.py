@@ -30,7 +30,8 @@ from scipy import special, stats
 
 from . import mdpde
 from .models import Dataset, ModelFamily, _check_alpha, _zeta
-from .posterior import DegenerateWeightsError, GaussianPrior, PosteriorChain, _importance_sample
+from .posterior import DegenerateWeightsError, GaussianPrior, PosteriorChain, _check_proper
+from .posterior import _importance_sample
 
 __all__ = [
     "EfficiencyReport",
@@ -222,13 +223,15 @@ def posterior_mean_replications(
     importance sampler, centered at the point estimate with the Laplace
     covariance inv(n psi_hat).  Per-replication seeds are spawned from the
     master seed.  A fit, curvature or weight failure is counted by kind in
-    ``failures_by_kind``, not fatal; any other error propagates.
+    ``failures_by_kind``, not fatal; any other error propagates.  An
+    improper prior at a > 0 raises ``ValueError`` before the first fit.
     """
     if replications < 2:
         raise ValueError("need at least two replications")
     theta_g = model.validate_theta(theta_g)
     if prior is None:
         prior = GaussianPrior.isotropic(np.zeros(model.dim), 100.0)
+    _check_proper(prior, alpha)
     seeds = np.random.SeedSequence(seed).spawn(replications)
     estimates = []
     failures_by_kind: dict[str, int] = {}

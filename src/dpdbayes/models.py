@@ -21,8 +21,9 @@ kernel ``loss_derivative_sums`` sums the gradient and the Hessian at one
 parameter point.  The per-index API, ``dpd_loss``, ``dpd_loss_grad`` and
 ``dpd_loss_hess``, reads V_i and its derivatives from them at one index.
 A family may override the hot paths with in-place kernels:
-``summed_q_value_batch`` for the samplers, and ``contamination_terms`` with
-``summed_contamination_scores`` for the robustness grids.  What the other
+``summed_q_value_batch`` for the samplers, and ``contamination_terms``, the
+t-free parts of the one score reduction ``summed_contamination_scores``,
+for the robustness grids.  What the other
 layers need to know about a family is stated by five hooks rather than by
 type checks: ``scale_index``, ``in_support``, ``default_init``, ``scale``
 and ``curvature_unit``.
@@ -50,7 +51,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -128,19 +129,38 @@ class _FarScores(NamedTuple):
     scores: np.ndarray
 
 
-class _GaussianTerms(NamedTuple):
-    """The t-free parts of the Gaussian contamination scores: the means mu,
-    the factor and offset of the exponent factor (t - mu)^2 + offset, the
-    weights m/a (None at a = 0), the row groups, the far scores (None at
-    a = 0 and for empty terms) and the row shifts of ``_cap_offsets``."""
+class _ScoreTerms(NamedTuple):
+    """Prepared contamination scores (``ModelFamily.contamination_terms``):
+    the t-free offset of the exponent point(points, inverse) + offset, the
+    point term (a new array, over every index through ``inverse`` if given),
+    the weights m/a (None at a = 0), the row groups, the far scores (None
+    without a far hull) and the row shifts of ``_cap_offsets``."""
 
-    mu: np.ndarray
-    factor: object
     offset: np.ndarray
+    point: Callable[[object, np.ndarray | None], np.ndarray]
     weights: np.ndarray | None
     groups: _RowGroups | None
     far: _FarScores | None
     shift: tuple[np.ndarray, np.ndarray] | None
+
+
+def _cap_offsets(offset, weights, alpha: float, bound, groups):
+    """Cap the offsets c above ``_LOG_MAX`` in place, with their weights
+    w = e^{bound - c}/a, and return the row shifts that keep the scores, as
+    (rows, values), or None.  Such a w is subnormal or zero, and near a point
+    term P = 0 expm1 overflows: inf * 0.  Yet expm1(P + c) w = expm1(P + c') w'
+    + w' - w for any c', and c' = min(bound + 700, _LOG_MAX) keeps w' normal
+    and, for P <= 0, expm1 finite; w' - w is summed per row (times counts)."""
+    rows, cols = np.nonzero(offset > _LOG_MAX)
+    if rows.size == 0:
+        return None
+    bound = np.broadcast_to(bound, offset.shape)[rows, cols]
+    cap = np.minimum(bound + 700.0, _LOG_MAX)
+    capped = np.exp(bound - cap) / alpha
+    gaps = (capped - weights[rows, cols]) * (1.0 if groups is None else groups.counts[cols])
+    offset[rows, cols], weights[rows, cols] = cap, capped
+    shifted, where = np.unique(rows, return_inverse=True)
+    return shifted, np.bincount(where, gaps)
 
 
 @dataclass(frozen=True)
@@ -449,55 +469,82 @@ class ModelFamily(ABC):
         return np.sum(np.expm1(alpha * ll) / alpha - ints / (1.0 + alpha), axis=1)
 
     def contamination_terms(self, thetas, alpha: float, theta_true, rows=slice(None)):
-        """The terms of the contamination scores of parameter rows that do not
-        depend on the contamination point, for ``summed_contamination_scores``.
-
-        The scores, with G_i in-model at theta_true, are
+        """The t-free terms of the contamination scores of parameter rows,
+        opaque to callers, for ``summed_contamination_scores``.  With G_i
+        in-model at theta_true the scores are
 
             k_i(theta, t_i) = [f_i^a(t_i) - integral f_i^a dG_i] / a     (a > 0)
-            k_i(theta, t_i) = log f_i(t_i) - integral log f_i dG_i       (a = 0).
+            k_i(theta, t_i) = log f_i(t_i) - integral log f_i dG_i       (a = 0),
 
-        The result is opaque to callers.  Here it holds the expectation term
-        (log integral f_i^a dG_i, or integral log f_i dG_i at a = 0) and its
-        exponential, so each point costs one ``log_density_batch`` call and
-        in-place updates of its result.  For every index (``rows`` the full
-        slice) of a design with repeated rows the terms are made once per
-        distinct row (``_grouped_rows``).  A family with a closed form may
-        override both methods with cheaper kernels giving the same values.
+        that is expm1(E) m/a, E = a log f(t) - log m with m = integral f^a dG
+        (E itself at a = 0).  Here the point term a log f(t) is one
+        ``log_density_batch`` call, against the bound 0 (``_score_weights``):
+        exact for a probability mass; a density above 1 (a
+        ``QuadratureFamily``) may overflow in a capped cell, but only where
+        it did uncapped.  For every index of a design with repeated rows the
+        terms are made once per distinct row (``_grouped_rows``).  A family
+        with a closed form overrides this method only.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         rows, groups = self._grouped_rows(rows)
+        offset, weights, shift = self._score_weights(thetas, alpha, theta_true, rows, groups, 0.0)
+
+        def point(points, inverse):
+            work = self.log_density_batch(points, thetas, rows if inverse is None else slice(None))
+            if alpha != 0.0:
+                work *= alpha
+            return work
+
+        return _ScoreTerms(offset, point, weights, groups, None, shift)
+
+    def _score_weights(self, thetas, alpha, theta_true, rows, groups, bound):
+        """(offset, weights m/a, ``_cap_offsets`` shifts) of contamination
+        terms from m = integral f^a dG (log m = integral log f dG at a = 0)
+        and ``bound`` >= a log f(t) (log f at a = 0): the exponent is the
+        point term a log f(t) - bound <= 0 plus the offset bound - log m."""
         if alpha == 0.0:
-            log_m = self.log_density_expectation_batch(thetas, theta_true, rows)
-            return thetas, rows, alpha, log_m, None, groups
+            return bound - self.log_density_expectation_batch(thetas, theta_true, rows), None, None
         log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
-        return thetas, rows, alpha, log_m, np.exp(log_m), groups
+        offset = bound - log_m
+        weights = np.divide(np.exp(log_m, out=log_m), alpha, out=log_m)
+        return offset, weights, _cap_offsets(offset, weights, alpha, bound, groups)
 
     def summed_contamination_scores(self, terms, points) -> np.ndarray:
-        """(m,) sums of k_i(theta, t_i) over the block of prepared ``terms``
-        (from ``contamination_terms``); ``points`` holds one value per index
-        of the block or a scalar shared by all.
-
-        Terms made per distinct design row score a common point once per
-        row and weight each row's score by its count; per-index points
-        expand them to every index through the inverse map.
+        """(m,) sums of k_i(theta, t_i) over the block of ``terms`` (from
+        ``contamination_terms``) at ``points``, one per index of the block or
+        a scalar shared by all.  A common point outside a far hull costs a
+        copy of the far scores (``_far_scores``), the full path's bits.
+        Terms per distinct design row score a common point once per row,
+        weighted by its count; per-index points expand them to every index.
         """
-        thetas, rows, alpha, log_m, m, groups = terms
-        if groups is not None and np.size(points) != 1:
-            inverse, groups, rows = groups.inverse, None, slice(None)
-            log_m = np.take(log_m, inverse, axis=1)
-            m = None if m is None else np.take(m, inverse, axis=1)
-        work = self.log_density_batch(points, thetas, rows)
-        if alpha == 0.0:
-            work -= log_m
-        else:
-            # (e^{a log f(t)} - e^{log m})/a through expm1, stable at small a
-            work *= alpha
-            work -= log_m
+        offset, point, weights, groups, far, shift = terms
+        if far is not None and np.size(points) == 1:
+            t = np.asarray(points, dtype=float).item()
+            if t < far.lo or t > far.hi:
+                return far.scores.copy()
+        inverse = groups.inverse if groups is not None and np.size(points) != 1 else None
+        if inverse is not None:
+            # np.take keeps the rows C-ordered; a fancy index on the columns
+            # would return them F-ordered, and the row sums would change order.
+            groups, offset = None, np.take(offset, inverse, axis=1)
+            weights = None if weights is None else np.take(weights, inverse, axis=1)
+        work = point(points, inverse)
+        work += offset
+        if weights is not None:
             np.expm1(work, out=work)
-            work *= m
-            work /= alpha
-        return work.sum(axis=1) if groups is None else np.dot(work, groups.counts)
+        if groups is not None:
+            # One column per distinct design row: the counts weight the row
+            # sum, a dot product (einsum is slow on a few columns).
+            if weights is not None:
+                work *= weights
+            scores = np.dot(work, groups.counts)
+        elif weights is None:
+            return np.einsum("ij->i", work)
+        else:
+            scores = np.einsum("ij,ij->i", work, weights)
+        if shift is not None:
+            scores[shift[0]] += shift[1]
+        return scores
 
 
 def dpd_loss(model: ModelFamily, i: int, x: float, theta, alpha: float) -> float:
@@ -549,12 +596,9 @@ def _zeta(alpha: float, sigma: float) -> float:
 
 def _far_scores(mu, factor, offset, weights, groups) -> _FarScores | None:
     """The far hull and far scores of a > 0 Gaussian terms (``_FarScores``),
-    or None for empty terms.
-
-    The far scores take the reductions of the full path,
-    ``summed_contamination_scores``, over the terms it would make there:
-    an array of -1.0 against the weights, or -weights against the counts.
-    """
+    or None for empty terms.  The scores take the full path's reductions
+    over its terms there: -1.0 against the weights, or -weights against the
+    counts."""
     if offset.size == 0:
         return None
     radius = offset - _FAR_EXPONENT
@@ -569,26 +613,6 @@ def _far_scores(mu, factor, offset, weights, groups) -> _FarScores | None:
     else:
         scores = np.dot(np.negative(weights, out=radius), groups.counts)
     return _FarScores(lo, hi, scores)
-
-
-def _cap_offsets(offset, weights, alpha: float, a_log_norm, groups):
-    """Cap the offsets c above ``_LOG_MAX`` in place, with their weights
-    w = e^{a log_norm - c}/a, and return the row shifts that keep the
-    scores, as (rows, values), or None.  Such a w is subnormal or zero, and
-    near mu expm1 overflows: inf * 0.  Yet expm1(factor (t - mu)^2 + c) w
-    is expm1(factor (t - mu)^2 + c') w' + w' - w for any c', and the cap
-    c' = min(a log_norm + 700, _LOG_MAX) keeps w' normal and expm1 finite;
-    the t-free w' - w are summed per row (times grouped terms' counts)."""
-    rows, cols = np.nonzero(offset > _LOG_MAX)
-    if rows.size == 0:
-        return None
-    a_log_norm = np.broadcast_to(a_log_norm, offset.shape)[rows, cols]
-    cap = np.minimum(a_log_norm + 700.0, _LOG_MAX)
-    capped = np.exp(a_log_norm - cap) / alpha
-    gaps = (capped - weights[rows, cols]) * (1.0 if groups is None else groups.counts[cols])
-    offset[rows, cols], weights[rows, cols] = cap, capped
-    shifted, where = np.unique(rows, return_inverse=True)
-    return shifted, np.bincount(where, gaps)
 
 
 class LinearKnownSigma(ModelFamily):
@@ -678,78 +702,36 @@ class LinearKnownSigma(ModelFamily):
         return _log_norm(sigma) - (sigma_g**2 + delta * delta) / (2.0 * sigma**2)
 
     def contamination_terms(self, thetas, alpha, theta_true, rows=slice(None)):
-        """The base method's terms in closed form (``_GaussianTerms``).
-
-        a log f(t) - log m = factor (t - mu)^2 + offset with mu = z'beta,
-        factor = -a/(2 sigma^2) and the offset c = a log_norm - log m
-        (log_norm - E log f at a = 0), so three t-free (m, k) arrays are
-        held, mu, c and the weights m/a, and a point costs five element
-        passes and one weighted row sum.  For a > 0 the terms also carry the
-        hull [lo, hi] of the intervals mu +- r, r = sqrt((c + 40)/-factor),
-        over every cell: a common point outside it puts every exponent at
-        or below -40, where expm1 is exactly -1, and the row sums of the
-        -weights that would give are made once here (``_far_scores``).
-        """
-        # The expectation kernels' temporaries are freed before mu is made.
+        """The base method's terms in closed form: a log f(t) = factor
+        (t - mu)^2 + a log_norm with mu = z'beta, factor = -a/(2 sigma^2) (a
+        read as 1 at a = 0), so a point costs five element passes and one
+        weighted row sum.  For a > 0 the terms carry the hull [lo, hi] of the
+        intervals mu +- sqrt((c + 40)/-factor), c the offset, over every
+        cell: a common point outside it puts every exponent at or below -40,
+        where expm1 is exactly -1, and the row sums that gives are made once
+        (``_far_scores``)."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         betas, sigma = self._split(thetas)
         rows, groups = self._grouped_rows(rows)
         if alpha == 0.0:
-            offset = _log_norm(sigma) - self.log_density_expectation_batch(thetas, theta_true, rows)
-            factor, weights, shift = -0.5 / sigma**2, None, None
+            bound, factor = _log_norm(sigma), -0.5 / sigma**2
         else:
-            log_m = self.log_power_expectation_batch(thetas, alpha, theta_true, rows)
-            offset = alpha * _log_norm(sigma) - log_m
-            weights = np.exp(log_m, out=log_m)
-            weights /= alpha
-            factor = -0.5 * alpha / sigma**2
-            shift = _cap_offsets(offset, weights, alpha, alpha * _log_norm(sigma), groups)
+            bound, factor = alpha * _log_norm(sigma), -0.5 * alpha / sigma**2
+        offset, weights, shift = self._score_weights(thetas, alpha, theta_true, rows, groups, bound)
+        # The expectation kernels' temporaries are freed before mu is made.
         mu = betas @ self.design[rows].T
         far = None if weights is None else _far_scores(mu, factor, offset, weights, groups)
         if far is not None and shift is not None:
             far.scores[shift[0]] += shift[1]
-        return _GaussianTerms(mu, factor, offset, weights, groups, far, shift)
 
-    def summed_contamination_scores(self, terms, points):
-        """The base method's scores from ``_GaussianTerms``, the same bits
-        in every row without a capped offset (``_cap_offsets``).
+        def point(points, inverse):
+            means = mu if inverse is None else np.take(mu, inverse, axis=1)
+            work = np.subtract(np.asarray(points, dtype=float), means)
+            np.multiply(work, work, out=work)
+            work *= factor
+            return work
 
-        A common point (one value) outside the far hull [lo, hi] of a > 0
-        terms costs a copy of the prepared far scores: every term there is
-        exactly -weight, so the full path would sum the same array in the
-        same order.  Every other point (a = 0, one point per index, or a
-        point inside the hull) runs the full path.
-        """
-        mu, factor, offset, weights, groups, far, shift = terms
-        if far is not None and np.size(points) == 1:
-            t = np.asarray(points, dtype=float).item()
-            if t < far.lo or t > far.hi:
-                return far.scores.copy()
-        if groups is not None and np.size(points) != 1:
-            # np.take keeps the rows C-ordered; a fancy index on the columns
-            # would return them F-ordered, and the row sums would change order.
-            inverse, groups = groups.inverse, None
-            mu, offset = np.take(mu, inverse, axis=1), np.take(offset, inverse, axis=1)
-            weights = None if weights is None else np.take(weights, inverse, axis=1)
-        work = np.subtract(np.asarray(points, dtype=float), mu)
-        np.multiply(work, work, out=work)
-        work *= factor
-        work += offset
-        if groups is not None:
-            # One column per distinct design row: the counts weight the row
-            # sum, a dot product (einsum is slow on a few columns).
-            if weights is not None:
-                np.expm1(work, out=work)
-                work *= weights
-            scores = np.dot(work, groups.counts)
-        elif weights is None:
-            return np.einsum("ij->i", work)
-        else:
-            np.expm1(work, out=work)
-            scores = np.einsum("ij,ij->i", work, weights)
-        if shift is not None:
-            scores[shift[0]] += shift[1]
-        return scores
+        return _ScoreTerms(offset, point, weights, groups, far, shift)
 
     def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
         beta, sigma = self._split(theta)

@@ -188,8 +188,8 @@ class UniformBoxPrior:
 
 class FlatPrior:
     """Improper flat prior.  Allowed for sampling, rejected where a finite
-    prior integral is required (Laplace approximations).  It has no
-    dimension and fits every model."""
+    posterior integral is required (Laplace approximations, and importance
+    sampling at a > 0).  It has no dimension and fits every model."""
 
     is_proper = False
 
@@ -361,6 +361,13 @@ def _check_inputs(model, data_or_spec, prior, alpha: float) -> None:
     size = getattr(prior, "dim", None)
     if size is not None and size != model.dim:
         raise ValueError(f"prior has dimension {size} but the model has {model.dim} parameters")
+
+
+def _check_proper(prior, alpha: float) -> None:
+    """Refuse an improper prior at a > 0, where exp(Q) stays bounded away
+    from zero as |theta| grows and the posterior has no finite integral."""
+    if alpha > 0.0 and not getattr(prior, "is_proper", False):
+        raise ValueError(f"the posterior at alpha = {alpha:g} > 0 needs a proper prior")
 
 
 def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
@@ -724,10 +731,12 @@ def importance_expectation(
     Weights are proportional to exp(Q) pi / proposal-density, with Q the
     observed-data objective for a ``Dataset`` and the population objective
     for a true-distribution spec.  Reports the effective sample size
-    (sum w)^2 / sum w^2 and raises ``DegenerateWeightsError`` below 50.
+    (sum w)^2 / sum w^2 and raises ``DegenerateWeightsError`` below 50, and
+    ``ValueError`` for an improper prior at a > 0.
     """
     if m < 1000:
         raise ValueError("importance sampling needs at least 1000 draws")
+    _check_proper(prior, alpha)
     _check_inputs(model, data_or_spec, prior, alpha)
     rng = np.random.default_rng(seed)
     draws = proposal.sample_batch(rng, m)

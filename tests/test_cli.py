@@ -396,6 +396,25 @@ class TestNonFiniteAlpha:
         assert len(err) == 1 and err[0].startswith("error: alpha must be a finite number >= 0")
 
 
+class TestFlatPriorAtPositiveAlpha:
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("influence", ["experiment.mc_draws=1000", "experiment.t_min=0", "experiment.t_max=1"]),
+            ("breakdown", ["experiment.mc_draws=5000"]),
+        ],
+    )
+    def test_exits_one_without_output(self, command, settings, tmp_path, capsys):
+        args = [command, "--seed", "1", "--out", str(tmp_path / "out"),
+                "--set", "prior.kind=flat", "--set", "experiment.alphas=0.5"]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "needs a proper prior" in err[0]
+        assert not (tmp_path / "out").exists()
+
+
 class TestBvmCommand:
     def test_sampler_thinning_reaches_the_chain(self, tmp_path, monkeypatch):
         from dpdbayes import posterior

@@ -33,10 +33,12 @@ from dpdbayes import (
     laplace_expectation,
     log_posterior_unnorm,
     posterior_mean,
+    posterior_mean_replications,
     sample,
     squared_error_loss,
 )
 from dpdbayes import fit as fit_mdpde
+from dpdbayes.robustness import McConfig, functional_posterior_sample
 from dpdbayes.posterior import (
     PosteriorChain,
     _importance_sample,
@@ -510,6 +512,60 @@ def test_absolute_error_action_is_an_exact_shift_equivariant_weighted_median(
     # No draw gives a smaller weighted loss.
     risk = lambda t: float(weights @ np.abs(moved - t))  # noqa: E731
     assert risk(action) <= min(risk(t) for t in moved) * (1.0 + 2 * count * np.finfo(float).eps)
+
+
+class _NoObjective(LinearKnownSigma):
+    """A location model whose objective kernels must not be called."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the objective was evaluated")
+
+    summed_q_value_batch = loss_derivative_sums = _refuse
+    log_power_expectation_batch = log_density_expectation_batch = _refuse
+
+
+class TestImproperPriorRefusal:
+    """For a > 0, exp(Q) stays bounded away from zero as |theta| grows, so a
+    flat prior leaves the posterior improper: every importance-sampling
+    route refuses it before evaluating an objective."""
+
+    def _routes(self, alpha):
+        model = _NoObjective(np.ones((30, 1)), 1.0)
+        data = Dataset(np.random.default_rng(1).normal(5.0, 1.0, 30), model.design)
+        return {
+            "importance_expectation": lambda: importance_expectation(
+                model, InModel([5.0]), FlatPrior(), alpha, lambda th: th,
+                GaussianPrior([5.0], [[0.05]]), 2000, 1,
+            ),
+            "importance_expectation-data": lambda: importance_expectation(
+                model, data, FlatPrior(), alpha, lambda th: th,
+                GaussianPrior([5.0], [[0.05]]), 2000, 1,
+            ),
+            "functional_posterior_sample": lambda: functional_posterior_sample(
+                model, InModel([5.0]), FlatPrior(), alpha, McConfig(seed=1, draws=1000)
+            ),
+            "posterior_mean_replications": lambda: posterior_mean_replications(
+                model, [5.0], alpha, 3, 1, prior=FlatPrior()
+            ),
+        }
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.3])
+    @pytest.mark.parametrize(
+        "route",
+        ["importance_expectation", "importance_expectation-data",
+         "functional_posterior_sample", "posterior_mean_replications"],
+    )
+    def test_refused_before_any_objective_call(self, route, alpha):
+        with pytest.raises(ValueError, match="needs a proper prior"):
+            self._routes(alpha)[route]()
+
+    def test_alpha_zero_keeps_the_flat_prior(self):
+        model = LinearKnownSigma(np.ones((30, 1)), 1.0)
+        proposal = GaussianPrior([5.0], [[0.05]])
+        res = importance_expectation(
+            model, InModel([5.0]), FlatPrior(), 0.0, lambda th: th, proposal, 2000, 1
+        )
+        assert np.all(np.isfinite(res.estimate))
 
 
 class TestImportanceSampling:

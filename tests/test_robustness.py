@@ -141,9 +141,9 @@ class TestContaminationScore:
 
 
 # ---------------------------------------------------------------------------
-# The family score kernels: the Gaussian override against a 60-digit
-# reference and against the generic route, and the generic route against
-# the formula it replaced.
+# The family score kernels: the Gaussian terms against a 60-digit reference
+# and against the generic route, and the generic route against its formula
+# written out.
 # ---------------------------------------------------------------------------
 
 _SCORE_DESIGN = np.column_stack([np.ones(4), np.random.default_rng(5).standard_normal(4)])
@@ -280,20 +280,18 @@ class TestGaussianScoreKernel:
         assert np.all(np.abs(got - generic) <= 1e-12 * magnitude)
 
 
-def _summed_scores_before_the_hook(model, theta_g, thetas, alpha, rows, points):
-    """The contamination-score formula the generic route keeps: one
-    log-density call and in-place updates of its result."""
+def _generic_score_formula(model, theta_g, thetas, alpha, rows, points):
+    """The contamination-score formula of the generic route, written out:
+    the point term a log f(t) plus the offset 0 - log m, and at a > 0 its
+    expm1 against the weights m/a, summed by row."""
     work = model.log_density_batch(points, thetas, rows)
     if alpha == 0.0:
-        work -= model.log_density_expectation_batch(thetas, theta_g, rows)
-    else:
-        log_m = model.log_power_expectation_batch(thetas, alpha, theta_g, rows)
-        work *= alpha
-        work -= log_m
-        np.expm1(work, out=work)
-        work *= np.exp(log_m)
-        work /= alpha
-    return work.sum(axis=1)
+        work += 0.0 - model.log_density_expectation_batch(thetas, theta_g, rows)
+        return np.einsum("ij->i", work)
+    log_m = model.log_power_expectation_batch(thetas, alpha, theta_g, rows)
+    work *= alpha
+    work += 0.0 - log_m
+    return np.einsum("ij,ij->i", np.expm1(work), np.exp(log_m) / alpha)
 
 
 @pytest.mark.parametrize("alpha", _SCORE_ALPHAS)
@@ -309,8 +307,89 @@ def test_logistic_scores_are_bit_identical_to_the_formula(alpha):
         rows, points = _scenario_block(scenario)
         terms = model.contamination_terms(thetas, alpha, theta_g, rows)
         got = _summed_scores(model, terms, points)
-        expected = _summed_scores_before_the_hook(model, theta_g, thetas, alpha, rows, points)
+        expected = _generic_score_formula(model, theta_g, thetas, alpha, rows, points)
         assert np.array_equal(got, expected)
+
+
+def _logistic_reference_score(model, theta, theta_g, alpha, rows, points):
+    """(summed score, conditioning scale) of a ``Logistic`` model at 60
+    digits from the float inputs.
+
+    The scale is ``_reference_score``'s plus the first-order effect of
+    relative errors in the two terms of m, g_x p_x^a = e^{a log p_x + log g_x}
+    summed in log space: (m/a) d log m, or sum_x g_x p_x^a (|log p_x| +
+    |log g_x|/a), which grows like 1/a.
+    """
+    with mp.workdps(60):
+        f = mp.mpf
+        a = f(float(alpha))
+
+        def log_p(z, beta):  # log P(X = 1), log P(X = 0)
+            eta = mp.fsum(f(float(zj)) * f(float(b)) for zj, b in zip(z, beta))
+            return -mp.log1p(mp.exp(-eta)), -mp.log1p(mp.exp(eta))
+
+        total = scale = f(0)
+        for i, t in zip(rows, np.broadcast_to(points, len(rows))):
+            log_p1, log_p0 = log_p(model.design[i], theta)
+            log_g1, log_g0 = log_p(model.design[i], theta_g)
+            log_f = log_p1 if t == 1.0 else log_p0
+            if alpha == 0.0:
+                expected_log_f = mp.exp(log_g1) * log_p1 + mp.exp(log_g0) * log_p0
+                k = log_f - expected_log_f
+                scale += abs(log_f) + abs(expected_log_f)
+            else:
+                pairs = [(log_p1, log_g1), (log_p0, log_g0)]
+                log_m = mp.log(mp.fsum(mp.exp(a * lp + lg) for lp, lg in pairs))
+                k = (mp.exp(a * log_f) - mp.exp(log_m)) / a
+                scale += mp.exp(a * log_f) * (abs(log_f) + abs(log_m) / a) + abs(k)
+                scale += mp.fsum(mp.exp(a * lp + lg) * (abs(lp) + abs(lg) / a) for lp, lg in pairs)
+            total += k
+        return total, scale
+
+
+def _logistic_far_cases():
+    """(model, theta_g, parameter rows): truths with intercepts -800, 0.5 and
+    800 against rows whose intercepts run from -800 to 800, where the weight
+    m/a of a row on the far side of the truth underflows; on an all-ones
+    and on a two-column design."""
+    gen = np.random.default_rng(44)
+    intercepts = np.linspace(-800.0, 800.0, 9)
+    cases = [(Logistic(np.ones((4, 1))), np.array([-800.0]), intercepts[:, None])]
+    model = Logistic(_SCORE_DESIGN)
+    for theta_g in ([-800.0, 0.5], [0.5, -1.0], [800.0, -0.5]):
+        thetas = np.column_stack([intercepts, theta_g[1] + gen.standard_normal(9)])
+        cases.append((model, np.array(theta_g), thetas))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.5, 1.0])
+def test_logistic_scores_match_the_60_digit_reference(alpha):
+    # Relative to the conditioning scale, down to the smallest normal double:
+    # a subnormal score cannot hold 12 digits.
+    tiny = np.finfo(float).tiny
+    per_index = np.array([1.0, 0.0, 0.0, 1.0])
+    for model, theta_g, thetas in _logistic_far_cases():
+        for scenario in [AllDirections(points=0.0), AllDirections(points=1.0),
+                         AllDirections(points=per_index), OneDirection(index=2, point=0.0),
+                         OneDirection(index=2, point=1.0)]:
+            rows, points = _scenario_block(scenario)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                terms = model.contamination_terms(thetas, alpha, theta_g, rows)
+                got = _summed_scores(model, terms, points)
+            idx = range(model.n) if rows == slice(None) else rows
+            for theta, value in zip(thetas, got):
+                exact, scale = _logistic_reference_score(model, theta, theta_g, alpha, idx, points)
+                assert abs(mp.mpf(float(value)) - exact) <= 1e-12 * scale + tiny
+
+
+@pytest.mark.parametrize("alpha, exact", [(1.0, 1.0), (0.5, 2.0)])
+def test_logistic_score_of_a_row_far_from_a_far_truth(alpha, exact):
+    # log m is about -799 at a = 1, so m/a underflows where expm1 overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = contamination_score(Logistic(np.ones((4, 1))), InModel([-800.0]), 0, [800.0], 1.0, alpha)
+    assert k == exact
 
 
 def _far_point_cases():
@@ -859,6 +938,34 @@ class TestPseudoInfluence:
             error = np.max(np.abs(result.centering_check - reference)) / np.max(np.abs(reference))
             assert error <= 1e-13
 
+    @pytest.mark.parametrize(
+        "design, grid",
+        [
+            (_SCORE_DESIGN, np.arange(12.0).reshape(4, 3)),
+            (_SCORE_DESIGN, np.arange(6.0)),
+            (_SCORE_DESIGN, np.zeros((2, 3, 2))),
+            (np.ones((20, 1)), np.arange(6.0).reshape(3, 2)),
+            (np.ones((20, 1)), 5.0),
+        ],
+        ids=["4x3-for-2", "vector-for-2", "3d-for-2", "3x2-for-1", "scalar-for-1"],
+    )
+    def test_mis_shaped_grid_rejected(self, design, grid):
+        model = LinearKnownSigma(design, 1.0)
+        prior = GaussianPrior(np.full(model.dim, 5.0), np.eye(model.dim))
+        with pytest.raises(ValueError, match=rf"shape \(k, {model.dim}\)"):
+            pseudo_influence(
+                model, InModel(np.full(model.dim, 5.0)), prior, 0.5, grid,
+                np.array([0.0, 10.0]), McConfig(seed=37, draws=1000),
+            )
+
+    def test_vector_grid_is_a_column_when_dim_is_one(self, location_setup):
+        model, spec, prior = location_setup
+        mc, grid = McConfig(seed=38, draws=1000), np.linspace(4.0, 6.0, 5)
+        column = pseudo_influence(model, spec, prior, 0.5, grid[:, None], [0.0, 10.0], mc)
+        vector = pseudo_influence(model, spec, prior, 0.5, grid, [0.0, 10.0], mc)
+        assert vector.theta_grid.shape == (5, 1)
+        assert np.array_equal(vector.surface, column.surface)
+
     def test_grid_outside_parameter_space_rejected(self):
         model = LinearUnknownSigma(np.ones((20, 1)))
         prior = GaussianPrior([5.0, 1.0], np.eye(2))
@@ -935,6 +1042,18 @@ class TestBreakdown:
                     assert np.all(np.abs(laplace.estimates - exact) <= 1e-7 * exact)
         assert len(results) == 2 * 3 * 2 * (1 + mags.size)
         assert [res.message for res in results if not res.success] == []
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.45])
+    def test_classical_functional_is_exact_past_the_objective_rounding(self, location_setup, eps):
+        # At a = 0 the functional is (1 - eps) theta_g + eps M.  At M = 1e5
+        # the objective is -2.1e10 and flat to its last bit within 3e-4 of
+        # the optimum, where the search alone stops.
+        model = location_setup[0]
+        for mag in 10.0 ** np.arange(1, 7):
+            spec = Contaminated(np.array([5.0]), eps, mag)
+            got = minimum_divergence_functional(model, spec, 0.0)[0]
+            exact = (1.0 - eps) * 5.0 + eps * mag
+            assert abs(got - exact) <= 1e-10 * exact
 
     def test_functional_optimum_clean_case(self, location_setup):
         model, spec, _ = location_setup

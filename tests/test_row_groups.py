@@ -125,15 +125,12 @@ def _all_index_scores_per_index_route(model, thetas, alpha, theta_g, points):
         return np.einsum("ij,ij->i", np.expm1(work), weights)
     work = model.log_density_batch(points, thetas)
     if alpha == 0.0:
-        work -= model.log_density_expectation_batch(thetas, theta_g)
-    else:
-        log_m = model.log_power_expectation_batch(thetas, alpha, theta_g)
-        work *= alpha
-        work -= log_m
-        np.expm1(work, out=work)
-        work *= np.exp(log_m)
-        work /= alpha
-    return work.sum(axis=1)
+        work += 0.0 - model.log_density_expectation_batch(thetas, theta_g)
+        return np.einsum("ij->i", work)
+    log_m = model.log_power_expectation_batch(thetas, alpha, theta_g)
+    work *= alpha
+    work += 0.0 - log_m
+    return np.einsum("ij,ij->i", np.expm1(work), np.exp(log_m) / alpha)
 
 
 @st.composite

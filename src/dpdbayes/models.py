@@ -905,7 +905,14 @@ class Logistic(ModelFamily):
     def log_power_expectation_batch(self, thetas, alpha, theta_true, rows=slice(None)):
         log_p1, log_p0 = self._log_p_rows(thetas, rows)
         log_g1, log_g0 = self._log_p_rows(theta_true, rows)
-        return np.logaddexp(alpha * log_p1 + log_g1, alpha * log_p0 + log_g0)
+        log_m = np.logaddexp(alpha * log_p1 + log_g1, alpha * log_p0 + log_g0)
+        # log m is O(a) near m = 1, but logaddexp rounds it to about
+        # eps |log g_x|, which the scores divide by a.  There m - 1 =
+        # g_1 expm1(a log p_1) + g_0 expm1(a log p_0) has relative error eps;
+        # a tiny m (a row far from the truth) needs the log space above.
+        m_minus_1 = np.exp(log_g1) * np.expm1(alpha * log_p1)
+        m_minus_1 += np.exp(log_g0) * np.expm1(alpha * log_p0)
+        return np.log1p(m_minus_1, out=log_m, where=log_m > -math.log(2.0))
 
     def log_density_expectation_batch(self, thetas, theta_true, rows=slice(None)):
         log_p1, log_p0 = self._log_p_rows(thetas, rows)

@@ -15,7 +15,10 @@ propose, 2^k - 1 rows, and the accept/reject path is read off it; the chain
 is the one that one call per step would give, bit for bit.  Other chains
 make one call per step: a block of rows with two or more parameters
 differs from single rows in the last bits, and the other families' row
-cost is not measured.
+cost is not measured.  A one-parameter walk keeps its states and
+candidates as Python floats, whose addition is numpy's, so a step makes
+no numpy call apart from its share of the log-posterior call; with more
+parameters each candidate is a (1, dim) row passed to the call as it is.
 
 Posterior expectations can also be computed without a chain through
 self-normalized importance sampling, from a caller's Gaussian proposal or
@@ -64,6 +67,17 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _check_integers(settings, *names: str) -> None:
+    """Refuse a named field of a settings object that is not a Python or
+    numpy integer, and a negative ``seed``, naming the field."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if settings.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {settings.seed}")
+
+
 class DegenerateWeightsError(RuntimeError):
     """Importance weights collapsed onto too few draws to be usable."""
 
@@ -84,6 +98,8 @@ class GaussianPrior:
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        if not np.isfinite(mean).all():
+            raise ValueError("prior mean must be finite")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape must match the mean length")
         try:
@@ -136,11 +152,15 @@ class GaussianPrior:
         """
         if self.mean.size > 1:
             return self.log_density_batch(thetas)
-        dev = np.atleast_2d(thetas)[:, 0] - self.mean[0]
-        if not np.isfinite(dev).all():
+        y = np.atleast_2d(thetas)[:, 0] - self.mean[0]
+        if not (math.isfinite(y.sum()) or np.isfinite(y).all()):
             raise ValueError("array must not contain infs or NaNs")
-        y = dev / self._chol[0, 0]
-        return self._log_norm - 0.5 * (y * y)
+        # In place, the same operations as log_norm - 0.5 * (y * y).
+        y /= self._chol[0, 0]
+        y *= y
+        y *= -0.5
+        y += self._log_norm
+        return y
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self._chol @ rng.standard_normal(self.mean.size)
@@ -209,7 +229,9 @@ class SamplerConfig:
 
     ``chain_length`` counts post-burn-in iterations; every ``thinning``-th of
     them is retained, so the chain holds chain_length // thinning draws.  The
-    seed is mandatory: there is no wall-clock default anywhere.
+    seed is mandatory: there is no wall-clock default anywhere.  The seed is
+    a non-negative integer and the lengths are integers, Python or numpy;
+    other values raise ``ValueError`` naming the field.
     ``proposal_scale``, when set, replaces the curvature-based proposal with
     an isotropic Gaussian of that standard deviation, a finite number > 0.
     """
@@ -221,6 +243,7 @@ class SamplerConfig:
     proposal_scale: float | None = None
 
     def __post_init__(self) -> None:
+        _check_integers(self, "seed", "chain_length", "burn_in", "thinning")
         if self.chain_length < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid sampler configuration")
         if self.chain_length // self.thinning < 1:
@@ -390,7 +413,9 @@ def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
             return log_base
         ok = None
     else:
-        ok = np.isfinite(log_base) & model.in_support(thetas)
+        ok = np.isfinite(log_base)
+        if model.scale_index is not None:
+            ok &= model.in_support(thetas)
         if np.count_nonzero(ok) == ok.size:
             ok = None
         else:
@@ -559,8 +584,6 @@ def sample(
     def log_post(rows: np.ndarray) -> list[float]:
         return _log_posterior_rows(model, data, rows, alpha, prior_rows(rows)).tolist()
 
-    # The state is a (1, dim) row, as every log-posterior call takes rows,
-    # and so is each step.
     if start is not None:
         current = model.validate_theta(np.asarray(start, dtype=float))[None, :]
     else:
@@ -576,45 +599,56 @@ def sample(
 
     # Anchor the proposal at the (finite-posterior) starting point.
     factor = _proposal_factor(model, data, alpha, current[0], config, warnings)
-    total = config.burn_in + config.chain_length
-    steps = (rng.standard_normal((total, model.dim)) @ factor.T)[:, None, :]
+    burn_in, thinning = config.burn_in, config.thinning
+    total = burn_in + config.chain_length
+    steps = rng.standard_normal((total, model.dim)) @ factor.T
     log_uniforms = np.log(rng.random(total)).tolist()
-
-    kept = config.chain_length // config.thinning
-    draws = np.empty((kept, model.dim))
-    log_posts = np.empty(kept)
-    accepted_main = 0
-    k = 0
     depth = _prefetch_depth(model)
-    stop = 0
-    for it in range(total):
-        if it == stop:
-            # The candidates of steps it..stop-1 as a binary heap: the row at
-            # node i is proposed from the state its accept history reaches,
-            # and its children are the next step's candidates after a
-            # rejection (2i + 1) and after an acceptance (2i + 2).
-            stop = min(it + depth, total)
-            states = current
-            rows = level = current + steps[it]
-            for ahead in range(it + 1, stop):
-                states = np.concatenate((states, level), axis=1).reshape(-1, model.dim)
-                level = states + steps[ahead]
-                rows = np.concatenate((rows, level))
-            lps = log_post(rows)
-            node = 0
-        if lps[node] - cur_lp > log_uniforms[it]:
-            current, cur_lp = rows[node : node + 1], lps[node]
-            node = 2 * node + 2
-            if it >= config.burn_in:
-                accepted_main += 1
-        else:
-            node = 2 * node + 1
-        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0 and k < kept:
-            draws[k] = current
-            log_posts[k] = cur_lp
-            k += 1
+    # One parameter: states and candidates are Python floats, whose addition
+    # is numpy's.  More (depth 1): the one candidate is a (1, dim) row.
+    scalar = model.dim == 1
+    if scalar:
+        state, steps = float(current[0, 0]), steps[:, 0].tolist()
+    else:
+        state, steps = current, steps[:, None, :]
+    kept_states, kept_lps = [], []
+    next_kept = burn_in
+    accepted = 0
+    for block in range(0, total, depth):
+        stop = min(block + depth, total)
+        # The candidates of steps block..stop-1 as a binary heap: node i is
+        # proposed from the state its accept history reaches, and its
+        # children are the next step's candidates after a rejection (2i + 1)
+        # and after an acceptance (2i + 2).  ``parents`` holds the states the
+        # next level is proposed from: each node's own state for its reject
+        # child, then its candidate for its accept child.
+        parents = [state]
+        level = rows = [state + steps[block]]
+        for ahead in range(block + 1, stop):
+            parents = [x for pair in zip(parents, level) for x in pair]
+            step = steps[ahead]
+            level = [x + step for x in parents]
+            rows = rows + level
+        lps = log_post(np.array(rows)[:, None] if scalar else rows[0])
+        node = 0
+        for it in range(block, stop):
+            if lps[node] - cur_lp > log_uniforms[it]:
+                state, cur_lp = rows[node], lps[node]
+                node = 2 * node + 2
+                if it >= burn_in:
+                    accepted += 1
+            else:
+                node = 2 * node + 1
+            if it == next_kept:
+                kept_states.append(state)
+                kept_lps.append(cur_lp)
+                next_kept += thinning
 
-    rate = accepted_main / config.chain_length
+    # A partial last stride keeps one state too many.
+    kept = config.chain_length // thinning
+    draws = np.array(kept_states[:kept]).reshape(kept, model.dim)
+    log_posts = np.array(kept_lps[:kept])
+    rate = accepted / config.chain_length
     if not 0.05 <= rate <= 0.7:
         warnings.append(f"acceptance rate {rate:.3f} outside [0.05, 0.70]")
     return PosteriorChain(

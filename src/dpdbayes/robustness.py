@@ -37,7 +37,7 @@ from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional
 from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily, _check_alpha, _is_common_point
 from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction, _loss_minimizer
-from .posterior import _check_proper, _importance_sample, _log_posterior_rows
+from .posterior import _check_integers, _check_proper, _importance_sample, _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
 __all__ = [
@@ -80,12 +80,14 @@ class AllDirections:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings for population posterior expectations."""
+    """Monte Carlo settings for population posterior expectations: a
+    non-negative integer seed and an integer number of draws, at least 1000."""
 
     seed: int
     draws: int = 20_000
 
     def __post_init__(self) -> None:
+        _check_integers(self, "seed", "draws")
         if self.draws < 1000:
             raise ValueError("population importance sampling needs >= 1000 draws")
 

@@ -4,7 +4,8 @@ The workloads under ``bench/`` check each job against references computed
 without the package; this runs one pass of each at seed 1 so that a change
 that breaks an output fails here, not only in a benchmark run.  One traced
 pass of ``influence`` checks that the span tracer still finds the probes it
-wraps by name and that the robustness counters it reports are fed, so a
+wraps by name and that the robustness counters it reports are fed, and one
+traced pass of ``chains`` does the same for the sampler's counters, so a
 refactor that drops a probe or starves a counter fails here, not in a traced
 run.
 """
@@ -92,3 +93,25 @@ def test_traced_influence_pass_records_the_probes(bench, spans, tmp_path, monkey
     after = _package_attributes(spans.LAYERS)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_chains_pass_feeds_the_sampler_counters(bench, spans, tmp_path, monkeypatch):
+    harness, workloads = bench
+    monkeypatch.delenv("DPDBAYES_OUTPUT_DIR", raising=False)
+    workload = workloads.WORKLOADS["chains"](1, tmp_path)
+    workload.references()
+    jobs = workload.jobs()
+    tracer = spans.Tracer()
+    tracer.install(dpdbayes)
+    try:
+        outcome = harness.run_pass(jobs, tracer)
+    finally:
+        tracer.uninstall()
+    failed = [f"{job.name}: {job.tally.failures}" for job in outcome.jobs if not job.ok]
+    assert failed == []
+    metrics = spans.summarize(tracer, 1)
+    assert metrics["posterior.steps"] > 0
+    assert metrics["posterior.prior_s"] > 0
+    assert metrics["posterior.us_per_step_n25"] > 0
+    # Prefetched chains pass several candidate rows per log-posterior call.
+    assert metrics["models.rows_per_call"] > 1

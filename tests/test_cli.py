@@ -155,6 +155,16 @@ class TestLibraryErrorExitCodes:
             )
         assert not (tmp_path / "out" / "chain.csv").exists()
 
+    @pytest.mark.parametrize("mean", ["nan,2", "5,inf"])
+    def test_non_finite_prior_mean_exits_one(self, tmp_path, capsys, mean):
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        args = ["sample", str(data_path), "--seed", "1", "--out", str(tmp_path / "out"),
+                "--set", f"prior.mean={mean}", "--set", "prior.sd=3"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: prior mean must be finite\n"
+        assert not (tmp_path / "out" / "chain.csv").exists()
+
     def test_fewer_rows_than_covariates_exits_one(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         data_path.write_text("1.0,1.0,2.0,3.0\n2.0,4.0,5.0,7.0\n")

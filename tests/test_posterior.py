@@ -136,6 +136,13 @@ class TestPriors:
         with pytest.raises(ValueError, match="prior covariance must be"):
             GaussianPrior([0.0], [[bad]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_prior_refuses_a_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="prior mean must be finite"):
+            GaussianPrior([bad], [[1.0]])
+        with pytest.raises(ValueError, match="prior mean must be finite"):
+            GaussianPrior.isotropic([0.0, bad], 2.0)
+
     def test_box_prior(self):
         prior = UniformBoxPrior([0.0], [2.0])
         assert prior.log_density(np.array([1.0])) == 0.0
@@ -221,6 +228,24 @@ class TestSampler:
     def test_config_refuses_a_proposal_scale_that_is_not_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="proposal_scale"):
             SamplerConfig(seed=1, proposal_scale=scale)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chain_length", 100.5), ("burn_in", 10.5), ("thinning", 2.0), ("seed", 1.5), ("seed", True)],
+    )
+    def test_config_refuses_a_setting_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SamplerConfig(**{"seed": 1, field: value})
+
+    def test_config_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SamplerConfig(seed=-1)
+
+    def test_config_takes_numpy_integers(self):
+        config = SamplerConfig(
+            seed=np.uint32(7), chain_length=np.int64(40), burn_in=np.int32(3), thinning=np.int16(2)
+        )
+        assert (config.seed, config.chain_length, config.burn_in, config.thinning) == (7, 40, 3, 2)
 
     def test_conjugate_alpha_zero_mean(self, small_location, conjugate_chain):
         model, data, prior = small_location

@@ -195,6 +195,16 @@ def test_two_coefficient_chains_run_at_depth_one_unchanged(family):
     _assert_same_chain(model, data, prior, 0.4, SamplerConfig(seed=8, chain_length=800, burn_in=30))
 
 
+@pytest.mark.parametrize("family", ["unknown", "logistic"])
+def test_two_coefficient_chains_thin_with_a_partial_last_stride(family):
+    model, data = _two_coefficients(family)
+    prior = GaussianPrior.isotropic(np.append(np.zeros(2), [1.0] * (model.dim - 2)), 3.0)
+    config = SamplerConfig(seed=15, chain_length=401, burn_in=23, thinning=3)
+    assert config.chain_length % config.thinning != 0
+    chain = _assert_same_chain(model, data, prior, 0.4, config)
+    assert chain.draws.shape == (133, model.dim)
+
+
 def test_a_quadrature_family_runs_at_depth_one():
     class Location(QuadratureFamily):
         @property

@@ -383,6 +383,30 @@ def test_logistic_scores_match_the_60_digit_reference(alpha):
                 assert abs(mp.mpf(float(value)) - exact) <= 1e-12 * scale + tiny
 
 
+def test_logistic_scores_near_the_truth_hold_12_digits_at_small_alpha():
+    # Rows near the truth put m = sum_x g_x p_x^a within O(a) of 1.  The
+    # scale is the Gaussian kernels' one, |k| + f^a(t) (|log f(t)| +
+    # |log m|/a): it has no |log g_x|/a term, so log m must carry its O(a)
+    # value to relative, not absolute, round-off.
+    model = Logistic(_SCORE_DESIGN)
+    theta_g = np.array([0.5, -1.0])
+    thetas = theta_g + np.array([[0.0, 0.0], [0.3, -0.2], [-0.4, 0.5]])
+    rows, points = _scenario_block(OneDirection(index=0, point=1.0))
+    for alpha in (1e-9, 1e-6, 1e-3):
+        got = _summed_scores(model, model.contamination_terms(thetas, alpha, theta_g, rows), points)
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            eta_g = mp.fsum(mp.mpf(float(z)) * mp.mpf(float(b)) for z, b in zip(model.design[0], theta_g))
+            for theta, value in zip(thetas, got):
+                eta = mp.fsum(mp.mpf(float(z)) * mp.mpf(float(b)) for z, b in zip(model.design[0], theta))
+                log_p1, log_p0 = -mp.log1p(mp.exp(-eta)), -mp.log1p(mp.exp(eta))
+                g1 = 1 / (1 + mp.exp(-eta_g))
+                log_m = mp.log(g1 * mp.exp(a * log_p1) + (1 - g1) * mp.exp(a * log_p0))
+                k = (mp.exp(a * log_p1) - mp.exp(log_m)) / a
+                scale = abs(k) + mp.exp(a * log_p1) * (abs(log_p1) + abs(log_m) / a)
+                assert abs(mp.mpf(float(value)) - k) <= 1e-12 * scale, (alpha, theta)
+
+
 @pytest.mark.parametrize("alpha, exact", [(1.0, 1.0), (0.5, 2.0)])
 def test_logistic_score_of_a_row_far_from_a_far_truth(alpha, exact):
     # log m is about -799 at a = 1, so m/a underflows where expm1 overflows.
@@ -605,6 +629,21 @@ class TestOverflowingScores:
             ])
             centering = exact - pif.surface[:, j]
             assert np.all(np.abs(centering - centering[0]) <= 1e-12 * np.abs(exact).max())
+
+
+class TestMcConfig:
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("draws", 1500.5), ("seed", True)])
+    def test_refuses_a_setting_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McConfig(**{"seed": 1, "draws": 2000, field: value})
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            McConfig(seed=-1)
+
+    def test_takes_numpy_integers(self):
+        mc = McConfig(seed=np.uint32(3), draws=np.int64(1000))
+        assert (mc.seed, mc.draws) == (3, 1000)
 
 
 class TestFunctionalPosteriorSample:

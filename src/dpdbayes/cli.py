@@ -81,6 +81,13 @@ _DEFAULTS = {
     "output": {"directory": "out", "format": "csv"},
 }
 
+#: Every section.key a subcommand reads: the defaults, the box prior's half
+#: widths and the seed, which has no default.
+_KEYS = {(sec, key) for sec, kv in _DEFAULTS.items() for key in kv} | {
+    ("prior", "halfwidth"),
+    ("sampler", "seed"),
+}
+
 
 class CliError(Exception):
     """User-facing input error (exit code 1)."""
@@ -108,14 +115,21 @@ class Config:
             raise CliError(f"cannot read config file {path!r}")
         for sec in parser.sections():
             for key, val in parser.items(sec):
-                self._values[(sec.lower(), key.lower())] = val
+                self._set(sec, key, val)
 
     def set_override(self, dotted: str) -> None:
         if "=" not in dotted or "." not in dotted.split("=", 1)[0]:
             raise CliError(f"--set expects section.key=value, got {dotted!r}")
         target, val = dotted.split("=", 1)
         sec, key = target.split(".", 1)
-        self._values[(sec.lower(), key.lower())] = val
+        self._set(sec, key, val)
+
+    def _set(self, sec: str, key: str, val: str) -> None:
+        """Store a file or ``--set`` value; a key no subcommand reads is refused."""
+        target = (sec.lower(), key.lower())
+        if target not in _KEYS:
+            raise CliError(f"unknown configuration key {'.'.join(target)}")
+        self._values[target] = val
 
     def put(self, sec: str, key: str, val) -> None:
         if val is not None:
@@ -133,11 +147,14 @@ class Config:
         except ValueError:
             raise CliError(f"{sec}.{key} must be a number") from None
 
-    def get_int(self, sec: str, key: str) -> int:
+    def get_int(self, sec: str, key: str, minimum: int | None = None) -> int:
         try:
-            return int(self.get(sec, key))
+            value = int(self.get(sec, key))
         except ValueError:
             raise CliError(f"{sec}.{key} must be an integer") from None
+        if minimum is not None and value < minimum:
+            raise CliError(f"{sec}.{key} must be >= {minimum}, got {value}")
+        return value
 
     def get_bool(self, sec: str, key: str) -> bool:
         word = self.get(sec, key).strip().lower()
@@ -156,10 +173,12 @@ class Config:
             raise CliError(f"{sec}.{key} must list at least one number")
         return values
 
-    def get_ints(self, sec: str, key: str) -> list[int]:
+    def get_ints(self, sec: str, key: str, minimum: int | None = None) -> list[int]:
         values = self.get_floats(sec, key)
         if not all(v.is_integer() for v in values):
             raise CliError(f"{sec}.{key} must be a comma-separated integer list")
+        if minimum is not None and min(values) < minimum:
+            raise CliError(f"{sec}.{key} entries must be >= {minimum}, got {int(min(values))}")
         return [int(v) for v in values]
 
     def seed(self) -> int:
@@ -260,13 +279,13 @@ def _sampler_config(config: Config, seed: int) -> posterior.SamplerConfig:
 
 
 def _experiment_design(config: Config) -> np.ndarray:
-    n = config.get_int("experiment", "n")
+    n = config.get_int("experiment", "n", minimum=1)
     kind = config.get("experiment", "design").lower()
     if kind == "ones":
         return np.ones((n, 1))
     if kind == "gaussian":
         # Covariates drawn once from N(1, 1) and then treated as fixed.
-        rng = np.random.default_rng(config.get_int("experiment", "design_seed"))
+        rng = np.random.default_rng(config.get_int("experiment", "design_seed", minimum=0))
         return 1.0 + rng.standard_normal((n, 1))
     raise CliError("experiment.design must be 'ones' or 'gaussian'")
 
@@ -409,7 +428,7 @@ def _cmd_influence(args, config: Config) -> int:
 
 
 def _cmd_breakdown(args, config: Config) -> int:
-    model = _experiment_model(config, np.ones((config.get_int("experiment", "n"), 1)))
+    model = _experiment_model(config, np.ones((config.get_int("experiment", "n", minimum=1), 1)))
     beta_g = np.array([config.get_float("experiment", "beta_g")])
     prior = _build_prior(config, model.dim)
     seed = config.seed()
@@ -446,12 +465,14 @@ def _cmd_bvm(args, config: Config) -> int:
     digest = config.digest()
     header = ["alpha", "n", "seed", "tv", "tv_observed_scaling", "config"]
     rows: list[list] = []
-    for n in config.get_ints("experiment", "n_grid"):
+    n_grid = config.get_ints("experiment", "n_grid", minimum=1)
+    seeds = config.get_ints("experiment", "seeds", minimum=0)
+    for n in n_grid:
         design = np.ones((n, 1))
         model = _experiment_model(config, design)
         prior = _build_prior(config, model.dim)
         sw_true = mdpde.sandwich(model, InModel(beta_g), beta_g, alpha)
-        for seed in config.get_ints("experiment", "seeds"):
+        for seed in seeds:
             rng = np.random.default_rng(1000 * seed + n)
             data = Dataset(model.sample_responses(beta_g, rng), design)
             theta_hat = mdpde.fit(model, data, alpha).converged_estimate()

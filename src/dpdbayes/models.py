@@ -143,6 +143,15 @@ class _ScoreTerms(NamedTuple):
     far: _FarScores | None
     shift: tuple[np.ndarray, np.ndarray] | None
 
+    def far_scores(self, points) -> np.ndarray | None:
+        """The far scores (not a copy) if ``points`` is a common point
+        outside the far hull, where the scores do not depend on it; else
+        None, as for per-index points or terms without a hull."""
+        if self.far is None or np.size(points) != 1:
+            return None
+        t = np.asarray(points, dtype=float).item()
+        return self.far.scores if t < self.far.lo or t > self.far.hi else None
+
 
 def _cap_offsets(offset, weights, alpha: float, bound, groups):
     """Cap the offsets c above ``_LOG_MAX`` in place, with their weights
@@ -470,7 +479,8 @@ class ModelFamily(ABC):
 
     def contamination_terms(self, thetas, alpha: float, theta_true, rows=slice(None)):
         """The t-free terms of the contamination scores of parameter rows,
-        opaque to callers, for ``summed_contamination_scores``.  With G_i
+        opaque to callers, for ``summed_contamination_scores`` (a grid may
+        ask ``far_scores`` which points share one score vector).  With G_i
         in-model at theta_true the scores are
 
             k_i(theta, t_i) = [f_i^a(t_i) - integral f_i^a dG_i] / a     (a > 0)
@@ -513,15 +523,15 @@ class ModelFamily(ABC):
         """(m,) sums of k_i(theta, t_i) over the block of ``terms`` (from
         ``contamination_terms``) at ``points``, one per index of the block or
         a scalar shared by all.  A common point outside a far hull costs a
-        copy of the far scores (``_far_scores``), the full path's bits.
-        Terms per distinct design row score a common point once per row,
-        weighted by its count; per-index points expand them to every index.
+        copy of the far scores (``_ScoreTerms.far_scores``), the full path's
+        bits.  Terms per distinct design row score a common point once per
+        row, weighted by its count; per-index points expand them to every
+        index.
         """
-        offset, point, weights, groups, far, shift = terms
-        if far is not None and np.size(points) == 1:
-            t = np.asarray(points, dtype=float).item()
-            if t < far.lo or t > far.hi:
-                return far.scores.copy()
+        far = terms.far_scores(points)
+        if far is not None:
+            return far.copy()
+        offset, point, weights, groups, _, shift = terms
         inverse = groups.inverse if groups is not None and np.size(points) != 1 else None
         if inverse is not None:
             # np.take keeps the rows C-ordered; a fancy index on the columns

@@ -332,33 +332,54 @@ def _population_terms(model, spec, prior, alpha, mc, sample=None, rows=slice(Non
 
 def _weight_blocks(weights):
     """Ten contiguous draw blocks with positive total weight, as pairs of
-    (indices, weights normalized within the block), for block standard errors."""
-    blocks = []
-    for idx in np.array_split(np.arange(weights.size), 10):
-        wb = weights[idx]
+    (slice, weights normalized within the block), for block standard errors;
+    the blocks are ``np.array_split``'s."""
+    each, extra = divmod(weights.size, 10)
+    blocks, start = [], 0
+    for b in range(10):
+        block = slice(start, start + each + (b < extra))
+        start = block.stop
+        wb = weights[block]
         tot = wb.sum()
         if tot > 0.0:
-            blocks.append((idx, wb / tot))
+            blocks.append((block, wb / tot))
     return blocks
 
 
-def _weighted_cov_vector(draws, weights, scores):
-    mean_theta = weights @ draws
-    mean_score = float(weights @ scores)
-    centered = (draws - mean_theta[None, :]) * (scores - mean_score)[:, None]
-    return weights @ centered
+def _weighted_deviations(draws, weights):
+    """u = w (theta - theta_bar), theta_bar = w.theta: the parameter side of
+    every weighted covariance with a score s, which is then (s - w.s) u."""
+    u = draws - weights @ draws
+    u *= weights[:, None]
+    return u
 
 
-def _block_estimate(sample, blocks, scores, statistic=_weighted_cov_vector) -> InfluenceEstimate:
-    """``statistic(draws, weights, scores)`` (by default the parameter-score
-    covariance) of the sample, with the standard error of its block values."""
-    draws = sample.draws
-    value = np.atleast_1d(statistic(draws, sample.weights, scores))
-    block_vals = np.asarray([np.atleast_1d(statistic(draws[i], wb, scores[i])) for i, wb in blocks])
-    se = block_vals.std(axis=0, ddof=1) / math.sqrt(block_vals.shape[0])
+def _deviations(sample):
+    """(u, [(slice, w_b, u_b) per weight block]) of a sample: made once, for
+    every score whose covariance with the parameter is wanted."""
+    draws, w = sample.draws, sample.weights
+    blocks = [(b, wb, _weighted_deviations(draws[b], wb)) for b, wb in _weight_blocks(w)]
+    return _weighted_deviations(draws, w), blocks
+
+
+def _block_estimate(sample, value, block_values) -> InfluenceEstimate:
+    """``value`` with the standard error of its (blocks, k) block values."""
+    block_values = np.asarray(block_values)
+    se = block_values.std(axis=0, ddof=1) / math.sqrt(block_values.shape[0])
     return InfluenceEstimate(
-        value=value, standard_error=se, effective_sample_size=sample.effective_sample_size
+        value=np.atleast_1d(value),
+        standard_error=se,
+        effective_sample_size=sample.effective_sample_size,
     )
+
+
+def _covariance_estimate(sample, deviations, scores) -> InfluenceEstimate:
+    """The parameter-score covariance of the sample, (s - w.s) u, with the
+    standard error of its block values (s_b - w_b.s_b) u_b."""
+    u, blocks = deviations
+    value = (scores - float(sample.weights @ scores)) @ u
+    block_values = [(scores[b] - float(wb @ scores[b])) @ ub for b, wb, ub in blocks]
+    return _block_estimate(sample, value, block_values)
 
 
 def influence_posterior_mean(
@@ -379,7 +400,7 @@ def influence_posterior_mean(
     rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     scores = _summed_scores(model, terms, points)
-    return _block_estimate(sample, _weight_blocks(sample.weights), scores)
+    return _covariance_estimate(sample, _deviations(sample), scores)
 
 
 def influence_curve(
@@ -391,19 +412,28 @@ def influence_curve(
     mc: McConfig,
 ) -> tuple[np.ndarray, np.ndarray, FunctionalPosteriorSample]:
     """All-directions influence values over a grid of common contamination
-    points, sharing one population-posterior sample and its prepared score
-    terms across the grid.
+    points, sharing one population-posterior sample, its prepared score
+    terms and its weighted deviations across the grid.  The points outside
+    the terms' far hull share one score vector, so they share one estimate.
 
     Returns (values, standard_errors, sample) with values of shape
     (len(t_grid), dim).
     """
     sample, terms = _population_terms(model, spec, prior, alpha, mc)
-    blocks = _weight_blocks(sample.weights)
+    deviations = _deviations(sample)
+    far_estimate = None
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.empty((t_grid.size, model.dim))
     errors = np.empty_like(values)
     for j, t in enumerate(t_grid):
-        est = _block_estimate(sample, blocks, _summed_scores(model, terms, float(t)))
+        t = float(t)
+        far = terms.far_scores(t)
+        if far is None:
+            est = _covariance_estimate(sample, deviations, _summed_scores(model, terms, t))
+        else:
+            if far_estimate is None:
+                far_estimate = _covariance_estimate(sample, deviations, far)
+            est = far_estimate
         values[j] = est.value
         errors[j] = est.standard_error
     return values, errors, sample
@@ -476,10 +506,9 @@ def influence_bayes_estimate(
     curvature(float(w @ draws))  # where the minimiser starts: before its fallback search
     t_star = _loss_minimizer(draws, w, loss)
     denom = curvature(t_star)
-    lprime_scores = loss.d1(draws, t_star) * _summed_scores(model, terms, points)
-    return _block_estimate(
-        sample, _weight_blocks(w), lprime_scores, lambda _, wb, ls: -float(wb @ ls) / denom
-    )
+    ls = loss.d1(draws, t_star) * _summed_scores(model, terms, points)
+    block_values = [[-float(wb @ ls[b]) / denom] for b, wb in _weight_blocks(w)]
+    return _block_estimate(sample, -float(w @ ls) / denom, block_values)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +530,12 @@ def pseudo_influence(
     For each common contamination point t the summed score K(theta, t) is
     centered by its population-posterior mean, then evaluated on the
     parameter grid.  The posterior variance of K (the variance-sensitivity
-    ingredient) and a split-half check of the centering are reported per t.
-    The grid is a (k, dim) array, or a length-k vector when dim = 1.  A grid
-    of another shape, or with a row outside the parameter space
-    (``model.in_support``), raises ``ValueError`` before any score is computed.
+    ingredient) and a split-half check of the centering are reported per t;
+    points outside the draws' far hull share those statistics, and points
+    also outside the grid's share one column.  The grid is a (k, dim) array,
+    or a length-k vector when dim = 1.  A grid of another shape, or with a
+    row outside the parameter space (``model.in_support``), raises
+    ``ValueError`` before any score is computed.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim == 1 and model.dim == 1:
@@ -522,22 +553,41 @@ def pseudo_influence(
     half = sample.draws.shape[0] // 2
     w1, w2 = sample.weights[:half], sample.weights[half:]
     tot1, tot2 = float(w1.sum()), float(w2.sum())
+
+    def draw_statistics(scores):
+        """(mean, variance, split-half check, its se) of the draws' scores."""
+        mean_score = float(sample.weights @ scores)
+        centered = scores - mean_score
+        var = float(sample.weights @ centered**2)
+        # Half means of the centered scores: raw ones would cancel.
+        split = float(w1 @ centered[:half]) / tot1 - float(w2 @ centered[half:]) / tot2
+        # Crude scale for the split discrepancy from the pooled variance.
+        split_se = math.sqrt(2.0 * var / max(sample.effective_sample_size / 2.0, 1.0))
+        return mean_score, var, split, split_se
+
+    far_statistics = far_column = None
     surface = np.empty((theta_grid.shape[0], t_grid.size))
     post_var = np.empty(t_grid.size)
     check = np.empty(t_grid.size)
     check_se = np.empty(t_grid.size)
     for j, t in enumerate(t_grid):
-        scores = _summed_scores(model, draw_terms, float(t))
-        mean_score = float(sample.weights @ scores)
-        centered = scores - mean_score
-        post_var[j] = float(sample.weights @ centered**2)
-        surface[:, j] = _summed_scores(model, grid_terms, float(t)) - mean_score
-        # Half means of the centered scores: raw ones would cancel.
-        check[j] = float(w1 @ centered[:half]) / tot1 - float(w2 @ centered[half:]) / tot2
-        # Crude scale for the split discrepancy from the pooled variance.
-        check_se[j] = math.sqrt(
-            2.0 * post_var[j] / max(sample.effective_sample_size / 2.0, 1.0)
-        )
+        t = float(t)
+        draw_far, grid_far = draw_terms.far_scores(t), grid_terms.far_scores(t)
+        if draw_far is None:
+            stats = draw_statistics(_summed_scores(model, draw_terms, t))
+        else:
+            if far_statistics is None:
+                far_statistics = draw_statistics(draw_far)
+            stats = far_statistics
+        mean_score, post_var[j], check[j], check_se[j] = stats
+        if grid_far is None:
+            surface[:, j] = _summed_scores(model, grid_terms, t) - mean_score
+        elif draw_far is None:
+            surface[:, j] = grid_far - mean_score
+        else:
+            if far_column is None:
+                far_column = grid_far - mean_score
+            surface[:, j] = far_column
     return PifResult(
         theta_grid=theta_grid,
         t_grid=t_grid,

@@ -391,6 +391,89 @@ class TestConfigValues:
         assert config.get_bool("model", "header") is value
 
 
+class TestSettingRanges:
+    @pytest.mark.parametrize(
+        "command, settings, message",
+        [
+            ("bvm", ["experiment.seeds=-1", "experiment.n_grid=25"],
+             "experiment.seeds entries must be >= 0, got -1"),
+            ("bvm", ["experiment.seeds=1,-2"], "experiment.seeds entries must be >= 0, got -2"),
+            ("bvm", ["experiment.n_grid=-5"], "experiment.n_grid entries must be >= 1, got -5"),
+            ("bvm", ["experiment.n_grid=25,0"], "experiment.n_grid entries must be >= 1, got 0"),
+            ("influence", ["experiment.n=-3"], "experiment.n must be >= 1, got -3"),
+            ("influence", ["experiment.n=0", "experiment.design=ones"],
+             "experiment.n must be >= 1, got 0"),
+            ("influence", ["experiment.design_seed=-2"],
+             "experiment.design_seed must be >= 0, got -2"),
+            ("breakdown", ["experiment.n=-3"], "experiment.n must be >= 1, got -3"),
+        ],
+    )
+    def test_out_of_range_setting_exits_one_naming_the_key(
+        self, command, settings, message, tmp_path, capsys
+    ):
+        outdir = tmp_path / "out"
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        code = main([command, "--seed", "1", "--out", str(outdir), *overrides])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(outdir.glob("*.csv"))
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("are-table", "bogus.key=1", "bogus.key"),
+            ("breakdown", "experiment.draws=0", "experiment.draws"),
+            ("bvm", "Sampler.Chain_Lenght=10", "sampler.chain_lenght"),
+        ],
+    )
+    def test_set_exits_one_naming_the_key(self, command, setting, key, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = main([command, "--seed", "1", "--out", str(outdir), "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown configuration key {key}\n"
+        assert not outdir.exists()
+
+    def test_config_file_exits_one_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sampler]\nseed = 1\n\n[experiment]\nmc_draws = 2000\ndraws = 0\n")
+        code = main(["breakdown", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown configuration key experiment.draws\n"
+
+    def test_the_known_keys_are_the_keys_the_subcommands_read(self, tmp_path, monkeypatch):
+        from dpdbayes import cli
+
+        read = set()
+        get = cli.Config.get
+
+        def spy(self, sec, key):
+            read.add((sec, key))
+            return get(self, sec, key)
+
+        monkeypatch.setattr(cli.Config, "get", spy)
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        out = ["--seed", "1", "--out", str(tmp_path / "out")]
+        short = ["--set", "sampler.chain_length=1100", "--set", "sampler.burn_in=50",
+                 "--set", "prior.mean=5", "--set", "prior.sd=2"]
+        runs = [
+            ["fit", str(data_path)],
+            ["sample", str(data_path), "--laplace", "--set", "prior.kind=box",
+             "--set", "prior.halfwidth=3", "--set", "prior.mean=5,2"],
+            ["sample", str(data_path), *short[:4], "--set", "prior.mean=5,2"],
+            ["are-table", "--alphas", "0.1"],
+            ["influence", "--set", "experiment.mc_draws=1000", "--set", "experiment.t_min=0",
+             "--set", "experiment.t_max=1", "--set", "prior.mean=5"],
+            ["breakdown", "--method", "laplace", "--set", "experiment.magnitudes=10,100"],
+            ["bvm", "--set", "experiment.n_grid=25", "--set", "experiment.seeds=1", *short],
+        ]
+        for args in runs:
+            assert main([*args, *out]) == 0, args
+        assert read == cli._KEYS
+
+
 class TestNonFiniteAlpha:
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["fit", "sample"])

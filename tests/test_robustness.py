@@ -873,6 +873,183 @@ class TestInfluence:
         assert np.all(np.isfinite(values))
 
 
+def _weighted_cov_vector(draws, weights, scores):
+    """The parameter-score covariance as first written, centred per draw:
+    the reference for the prepared deviations."""
+    mean_theta = weights @ draws
+    mean_score = float(weights @ scores)
+    centered = (draws - mean_theta[None, :]) * (scores - mean_score)[:, None]
+    return weights @ centered
+
+
+def _fancy_index_estimate(sample, scores, statistic=_weighted_cov_vector):
+    """(value, standard error) of ``statistic`` over ``np.array_split`` index
+    blocks: the block layout as first written, copies and all."""
+    draws, w = sample.draws, sample.weights
+    value = np.atleast_1d(statistic(draws, w, scores))
+    block_values = []
+    for idx in np.array_split(np.arange(w.size), 10):
+        wb = w[idx]
+        tot = wb.sum()
+        if tot > 0.0:
+            block_values.append(np.atleast_1d(statistic(draws[idx], wb / tot, scores[idx])))
+    block_values = np.asarray(block_values)
+    return value, block_values.std(axis=0, ddof=1) / math.sqrt(block_values.shape[0])
+
+
+def _two_coefficient_setup():
+    gen = np.random.default_rng(41)
+    model = LinearKnownSigma(np.column_stack([np.ones(15), gen.standard_normal(15)]), 1.0)
+    return model, InModel(np.array([1.0, -0.5])), GaussianPrior([1.0, -0.5], np.eye(2))
+
+
+def _score_calls(monkeypatch):
+    """A list that records (rows scored, point) at every ``_summed_scores`` call."""
+    calls = []
+    summed = robustness._summed_scores
+
+    def spy(model, terms, points):
+        calls.append((terms.offset.shape[0], float(points)))
+        return summed(model, terms, points)
+
+    monkeypatch.setattr(robustness, "_summed_scores", spy)
+    return calls
+
+
+class TestInfluenceGrids:
+    def test_weight_blocks_are_the_array_split_slices(self):
+        for size in [*range(0, 23), 1000, 20_003]:
+            weights = np.full(size, 1.0 / max(size, 1))
+            blocks = robustness._weight_blocks(weights)
+            assert all(isinstance(b, slice) for b, _ in blocks)
+            # Every draw once, in order, in np.array_split's blocks.
+            indices = [np.arange(size)[b].tolist() for b, _ in blocks]
+            assert sum(indices, []) == list(range(size))
+            splits = [idx.tolist() for idx in np.array_split(np.arange(size), 10) if idx.size]
+            assert indices == splits
+            for b, wb in blocks:
+                assert np.array_equal(wb, weights[b] / weights[b].sum())
+
+    def test_weight_blocks_skip_a_block_without_weight(self):
+        weights = np.r_[np.zeros(10), np.full(90, 1.0 / 90)]
+        blocks = robustness._weight_blocks(weights)
+        assert [(b.start, b.stop) for b, _ in blocks] == [(k, k + 10) for k in range(10, 100, 10)]
+
+    @pytest.mark.parametrize("setup", ["location", "two-coefficient"])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.5])
+    def test_curve_matches_the_per_draw_covariance(self, location_setup, setup, alpha):
+        model, spec, prior = (
+            location_setup if setup == "location" else _two_coefficient_setup()
+        )
+        mc = McConfig(seed=43, draws=4000)
+        t_grid = np.linspace(-80.0, 80.0, 17)
+        values, errors, sample = influence_curve(model, spec, prior, alpha, t_grid, mc)
+        assert values.shape == errors.shape == (t_grid.size, model.dim)
+        terms = model.contamination_terms(sample.draws, alpha, spec.theta_g)
+        expected = [_fancy_index_estimate(sample, _summed_scores(model, terms, t)) for t in t_grid]
+        scale = np.abs([v for v, _ in expected]).max()
+        assert np.abs(values - [v for v, _ in expected]).max() <= 1e-13 * scale
+        assert np.abs(errors - [e for _, e in expected]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("scenario", [OneDirection(index=3, point=7.0), AllDirections(points=-4.0)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_posterior_mean_influence_matches_the_per_draw_covariance(self, scenario, alpha):
+        model, spec, prior = _two_coefficient_setup()
+        mc = McConfig(seed=44, draws=3000)
+        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+        got = influence_posterior_mean(model, spec, prior, alpha, scenario, mc, sample=sample)
+        rows, points = _scenario_block(scenario)
+        terms = model.contamination_terms(sample.draws, alpha, spec.theta_g, rows)
+        value, error = _fancy_index_estimate(sample, _summed_scores(model, terms, points))
+        scale = np.abs(value).max()
+        assert np.abs(got.value - value).max() <= 1e-13 * scale
+        assert np.abs(got.standard_error - error).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("loss_name", ["squared", "huber"])
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_bayes_estimate_influence_keeps_the_fancy_index_bits(self, loss_name, component):
+        from dpdbayes import huber_loss
+
+        model, spec, prior = _two_coefficient_setup()
+        loss = squared_error_loss() if loss_name == "squared" else huber_loss(0.3)
+        mc = McConfig(seed=45, draws=3001)
+        sample = functional_posterior_sample(model, spec, prior, 0.3, mc)
+        scenario = AllDirections(points=6.0)
+        got = influence_bayes_estimate(
+            model, spec, prior, 0.3, loss, scenario, mc, component=component, sample=sample
+        )
+        draws, w = sample.draws[:, component], sample.weights
+        t_star = robustness._loss_minimizer(draws, w, loss)
+        denom = float(w @ loss.d2(draws, t_star))
+        terms = model.contamination_terms(sample.draws, 0.3, spec.theta_g)
+        ls = loss.d1(draws, t_star) * _summed_scores(model, terms, 6.0)
+        value, error = _fancy_index_estimate(
+            sample, ls, lambda _, wb, s: -float(wb @ s) / denom
+        )
+        assert np.array_equal(got.value, value) and np.array_equal(got.standard_error, error)
+
+    def test_curve_scores_inside_points_only(self, location_setup, monkeypatch):
+        model, spec, prior = location_setup
+        mc = McConfig(seed=46, draws=2000)
+        t_grid = np.linspace(-100.0, 100.0, 41)
+        sample = functional_posterior_sample(model, spec, prior, 0.5, mc)
+        terms = model.contamination_terms(sample.draws, 0.5, spec.theta_g)
+        inside = [float(t) for t in t_grid if terms.far_scores(float(t)) is None]
+        assert 0 < len(inside) < t_grid.size
+        calls = _score_calls(monkeypatch)
+        values, errors, _ = influence_curve(model, spec, prior, 0.5, t_grid, mc)
+        assert calls == [(sample.draws.shape[0], t) for t in inside]
+        # Every far point gets the estimate the per-point route gives its scores.
+        deviations = robustness._deviations(sample)
+        for j, t in enumerate(t_grid):
+            if terms.far_scores(float(t)) is not None:
+                est = robustness._covariance_estimate(
+                    sample, deviations, model.summed_contamination_scores(terms, float(t))
+                )
+                assert np.array_equal(values[j], est.value)
+                assert np.array_equal(errors[j], est.standard_error)
+
+    def test_pseudo_influence_shares_far_statistics_with_the_same_bits(self, monkeypatch):
+        gen = np.random.default_rng(47)
+        model = LinearKnownSigma((1.0 + gen.standard_normal(20)).reshape(-1, 1), 1.0)
+        spec, prior = InModel([5.0]), GaussianPrior([5.0], [[1.0]])
+        mc = McConfig(seed=48, draws=2000)
+        theta_grid = np.linspace(3.0, 7.0, 21)[:, None]
+        t_grid = np.linspace(-100.0, 100.0, 81)
+        sample = functional_posterior_sample(model, spec, prior, 0.4, mc)
+        draw_terms = model.contamination_terms(sample.draws, 0.4, spec.theta_g)
+        grid_terms = model.contamination_terms(theta_grid, 0.4, spec.theta_g)
+        draw_far = [draw_terms.far_scores(float(t)) is not None for t in t_grid]
+        grid_far = [grid_terms.far_scores(float(t)) is not None for t in t_grid]
+        assert 0 < sum(draw_far) < t_grid.size and 0 < sum(grid_far) < t_grid.size
+        calls = _score_calls(monkeypatch)
+        got = pseudo_influence(model, spec, prior, 0.4, theta_grid, t_grid, mc)
+        m, k = sample.draws.shape[0], theta_grid.shape[0]
+        assert [t for rows, t in calls if rows == m] == list(t_grid[~np.array(draw_far)])
+        assert [t for rows, t in calls if rows == k] == list(t_grid[~np.array(grid_far)])
+        terms_of = LinearKnownSigma.contamination_terms
+        monkeypatch.setattr(
+            LinearKnownSigma, "contamination_terms",
+            lambda *args: terms_of(*args)._replace(far=None),
+        )
+        full = pseudo_influence(model, spec, prior, 0.4, theta_grid, t_grid, mc)
+        for field in ("surface", "posterior_variance", "centering_check", "centering_se"):
+            assert np.array_equal(getattr(got, field), getattr(full, field)), field
+
+    def test_far_scores_are_shared_only_by_common_far_points(self, location_setup):
+        model, spec, _ = location_setup
+        thetas = np.linspace(4.0, 6.0, 7)[:, None]
+        terms = model.contamination_terms(thetas, 0.5, spec.theta_g)
+        far = terms.far_scores(terms.far.hi + 1.0)
+        assert far is terms.far.scores
+        assert terms.far_scores(np.array([terms.far.lo - 1.0])) is far
+        assert terms.far_scores(0.5 * (terms.far.lo + terms.far.hi)) is None
+        assert terms.far_scores(np.full(model.n, terms.far.hi + 1.0)) is None
+        copied = model.summed_contamination_scores(terms, terms.far.hi + 1.0)
+        assert copied is not far and np.array_equal(copied, far)
+        assert model.contamination_terms(thetas, 0.0, spec.theta_g).far_scores(1e6) is None
+
+
 class TestPseudoInfluence:
     def test_alpha_zero_closed_form_general_design(self):
         gen = np.random.default_rng(31)

@@ -403,11 +403,11 @@ def _cmd_influence(args, config: Config) -> int:
     prior = _build_prior(config, model.dim)
     seed = config.seed()
     digest = config.digest()
+    mc = robustness.McConfig(seed=seed, draws=config.get_int("experiment", "mc_draws", minimum=1000))
     t_min, t_max, t_step = (config.get_float("experiment", k) for k in ("t_min", "t_max", "t_step"))
     if not (t_step > 0.0 and t_min <= t_max):
         raise CliError(f"experiment.t_step ({t_step}) must be > 0 and t_min ({t_min}) <= t_max ({t_max})")
     t_grid = np.arange(t_min, t_max + 1e-9, t_step)
-    mc = robustness.McConfig(seed=seed, draws=config.get_int("experiment", "mc_draws"))
     header = ["alpha", "t", "influence", "standard_error", "seed", "config"]
     rows: list[list] = []
     for alpha in config.get_floats("experiment", "alphas"):
@@ -435,6 +435,7 @@ def _cmd_breakdown(args, config: Config) -> int:
     digest = config.digest()
     epsilon = config.get_float("experiment", "epsilon")
     magnitudes = config.get_floats("experiment", "magnitudes")
+    draws = config.get_int("experiment", "mc_draws", minimum=1000)
     method = args.method
     header = ["alpha", "epsilon", "magnitude", "estimate", "shift", "method", "seed", "config"]
     rows: list[list] = []
@@ -448,7 +449,7 @@ def _cmd_breakdown(args, config: Config) -> int:
             magnitudes,
             seed=seed,
             method=method,
-            draws=config.get_int("experiment", "mc_draws"),
+            draws=draws,
         )
         for mag, est, shift in zip(curve.magnitudes, curve.estimates, curve.shifts):
             rows.append(

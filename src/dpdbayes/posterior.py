@@ -28,11 +28,11 @@ share.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg.lapack import dtrtrs
 
 from . import mdpde
@@ -310,18 +310,18 @@ class ImportanceResult:
 
 @dataclass(frozen=True)
 class LossFunction:
-    """Scalar-parameter loss L(theta, t) with derivatives in t.
+    """Scalar-parameter loss L(theta, t) with derivatives in t and its action.
 
-    All three callables must broadcast over a numpy array of parameter draws
-    in their first argument.  ``action``, when given, is the exact minimiser
-    action(draws, weights) of the weighted loss, which then replaces the
-    numerical search of ``_loss_minimizer``.
+    ``evaluate``, ``d1`` and ``d2`` must broadcast over a numpy array of
+    parameter draws in their first argument.  ``action(draws, weights)``
+    returns the exact minimiser over t of sum_i w_i L(theta_i, t); a
+    user-built loss supplies its own, as no numerical search stands in.
     """
 
     evaluate: callable
     d1: callable
     d2: callable
-    action: callable | None = None
+    action: callable
 
 
 def squared_error_loss() -> LossFunction:
@@ -329,6 +329,7 @@ def squared_error_loss() -> LossFunction:
         evaluate=lambda th, t: (t - th) ** 2,
         d1=lambda th, t: 2.0 * (t - th),
         d2=lambda th, t: 2.0 * np.ones_like(np.asarray(th, dtype=float)),
+        action=lambda draws, weights: float(weights @ draws),
     )
 
 
@@ -361,6 +362,34 @@ def absolute_error_loss() -> LossFunction:
     )
 
 
+def _huber_root(draws: np.ndarray, weights: np.ndarray, delta: float) -> float:
+    """The root of the weighted Huber slope s(t) = sum_i w_i clip(t - theta_i,
+    -delta, delta), which never decreases and is linear between the sorted
+    kinks theta_i -+ delta.
+
+    Bisection over the kinks evaluates s directly, not as cumulative sums,
+    which cancel at large shifts.  A run of kinks where |s| is within the
+    round-off bound m eps delta sum(w) is a flat set of minimisers, and its
+    midpoint is returned; otherwise the root is solved for on the one
+    segment where s changes sign.
+    """
+    kinks = np.sort(np.concatenate([draws - delta, draws + delta]))
+
+    def slope(t) -> float:
+        return float(weights @ np.clip(t - draws, -delta, delta))
+
+    roundoff = draws.size * np.finfo(float).eps * delta * float(weights.sum())
+    lo = bisect.bisect_left(kinks, True, key=lambda t: slope(t) >= -roundoff)
+    hi = bisect.bisect_left(kinks, True, key=lambda t: slope(t) > roundoff)
+    if hi - lo >= 2:
+        return float(0.5 * (kinks[lo] + kinks[hi - 1]))
+    if hi > lo and slope(kinks[lo]) < 0.0:  # the one kink near zero is below the root
+        lo = hi
+    a, b = kinks[lo - 1], kinks[lo]
+    sa, sb = slope(a), slope(b)
+    return float(a + (b - a) * (-sa / (sb - sa)))
+
+
 def huber_loss(delta: float) -> LossFunction:
     def _eval(th, t):
         r = np.abs(t - th)
@@ -370,6 +399,7 @@ def huber_loss(delta: float) -> LossFunction:
         evaluate=_eval,
         d1=lambda th, t: np.clip(t - th, -delta, delta),
         d2=lambda th, t: (np.abs(t - th) <= delta).astype(float),
+        action=lambda draws, weights: _huber_root(draws, weights, delta),
     )
 
 
@@ -450,15 +480,18 @@ def _normalised_weights(log_w: np.ndarray, context: str):
 
 #: Covariance inflation of the first importance proposal; each retry doubles it.
 _BASE_INFLATION = 1.5
+#: Scale factor and mixture weight of the two-scale proposal's wide component.
+_WIDE_FACTOR = 4.0
+_WIDE_WEIGHT = 0.15
 
 
 class _TwoScaleProposal:
     """Gaussian center-scale mixture; the wide component guards the tails."""
 
-    def __init__(self, mean, cov, wide_factor: float = 4.0, wide_weight: float = 0.15):
+    def __init__(self, mean, cov):
         self.narrow = GaussianPrior(mean, cov)
-        self.wide = GaussianPrior(mean, wide_factor**2 * np.atleast_2d(cov))
-        self.log_wts = np.log([1.0 - wide_weight, wide_weight])
+        self.wide = GaussianPrior(mean, _WIDE_FACTOR**2 * np.atleast_2d(cov))
+        self.log_wts = np.log([1.0 - _WIDE_WEIGHT, _WIDE_WEIGHT])
 
     def sample_batch(self, rng, m):
         pick = rng.random(m) < math.exp(self.log_wts[1])
@@ -678,76 +711,13 @@ def posterior_mean(chain: PosteriorChain) -> PosteriorMeanEstimate:
     return PosteriorMeanEstimate(estimate=est, standard_error=se)
 
 
-def _flat_interval_midpoint(draws: np.ndarray, weights: np.ndarray, loss: LossFunction, t: float):
-    """The midpoint of an interval between neighbouring weighted draws next
-    to ``t`` on which the weighted loss derivative vanishes, to within the
-    round-off bound of its sum, or ``t`` when there is none.
-
-    Such an interval is a set of minimisers: Huber loss has one when the
-    draws below it carry exactly half the weight and lie more than delta
-    from it, and its midpoint is then that of the neighbouring draws.
-    """
-    support = np.unique(draws[weights > 0.0])
-    if support.size < 2:
-        return t
-    j = int(np.argmin(np.abs(support - t)))  # the nearest draw; one interval on each side
-    for i in range(max(j - 1, 0), min(j + 1, support.size - 1)):
-        mid = 0.5 * (support[i] + support[i + 1])
-        slopes = weights * loss.d1(draws, mid)
-        roundoff = draws.size * np.finfo(float).eps * float(np.abs(slopes).sum())
-        if abs(float(slopes.sum())) <= roundoff:
-            return float(mid)
-    return t
-
-
-def _loss_minimizer(draws: np.ndarray, weights: np.ndarray, loss: LossFunction) -> float:
-    """The action t minimising sum_i w_i L(theta_i, t) over scalar draws.
-
-    A loss with an exact ``action`` (absolute error) returns it.  Otherwise
-    Newton from the weighted mean stops on a step below the round-off of
-    |t| + the draws' range.  Where the weighted curvature is not positive or
-    Newton does not settle, a bounded search takes over; where the loss is
-    flat between two draws next to its result, the search returns that
-    interval's midpoint (``_flat_interval_midpoint``).
-    """
-    if loss.action is not None:
-        return loss.action(draws, weights)
-    center = float(weights @ draws)
-    lo, hi = float(draws.min()), float(draws.max())
-    span = hi - lo
-    if span == 0.0:
-        return lo
-    t = center
-    for _ in range(100):
-        h = float(weights @ loss.d2(draws, t))
-        if h <= 0.0:
-            break
-        step = float(weights @ loss.d1(draws, t)) / h
-        t -= step
-        if abs(step) <= mdpde.ROUNDOFF * (abs(t) + span):
-            return t
-    # Over the offset from the weighted mean in units of the range, stopping
-    # at the round-off of t: finer probes tie, and ties mislead the bracket.
-    res = optimize.minimize_scalar(
-        lambda u: float(weights @ loss.evaluate(draws, center + u * span)),
-        bounds=((lo - center) / span, (hi - center) / span),
-        method="bounded",
-        options={"xatol": mdpde.ROUNDOFF * (abs(center) + span) / span},
-    )
-    if not res.success:
-        raise RuntimeError(f"loss minimization failed: {res.message}")
-    return _flat_interval_midpoint(draws, weights, loss, center + float(res.x) * span)
-
-
 def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0) -> float:
-    """Minimize the Monte Carlo average loss over the action t: the exact
-    median for absolute error, else Newton from the posterior mean, or a
-    bounded search over the draws' range where the averaged second
-    derivative is not positive.  Both stop at the round-off of t, so the
-    estimate shifts and scales with the draws.
+    """The action t minimising the Monte Carlo average loss over the chain's
+    draws of one component: ``loss.action`` with equal weights, which is
+    exact for every built-in loss (the mean, the median, the Huber root).
     """
     draws = chain.draws[:, component]
-    return _loss_minimizer(draws, np.full(draws.size, 1.0 / draws.size), loss)
+    return loss.action(draws, np.full(draws.size, 1.0 / draws.size))
 
 
 def importance_expectation(

@@ -36,7 +36,7 @@ from scipy import optimize
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily, _check_alpha, _is_common_point
-from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction, _loss_minimizer
+from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
 from .posterior import _check_integers, _check_proper, _importance_sample, _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
@@ -227,12 +227,6 @@ def contamination_score(
 # ---------------------------------------------------------------------------
 
 
-def _fd_curvature(fn_batch, center: np.ndarray) -> np.ndarray:
-    """Central-difference negative Hessian of a function given per parameter
-    row (``_fd_derivatives``)."""
-    return _fd_derivatives(fn_batch, center)[0]
-
-
 def _fd_derivatives(fn_batch, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference negative Hessian and gradient of a function given
     per parameter row; the whole stencil, 1 + 2d + 2d(d-1) rows, is one
@@ -296,7 +290,7 @@ def functional_posterior_sample(
         return _log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))
 
     center = _population_mode(fn_batch, model, spec)
-    curvature = _fd_curvature(fn_batch, center)
+    curvature = _fd_derivatives(fn_batch, center)[0]
     warnings = []
     if not _is_pd(curvature):
         curvature = np.eye(center.size)
@@ -485,27 +479,22 @@ def influence_bayes_estimate(
 
     Evaluates -E[L'(theta, T) * score] / E[L''(theta, T)] at the loss
     minimizer T of the population posterior; with squared-error loss this
-    reproduces the posterior-mean influence exactly.  T comes from
-    ``bayes_estimate``'s minimiser, run on the population weights.
+    reproduces the posterior-mean influence exactly.  T is the loss's exact
+    ``action`` on the population weights.
 
     Raises:
-        ValueError: If the weighted loss curvature is not positive at the
-            weighted mean or at T (absolute-error loss has none anywhere).
+        ValueError: If the weighted loss curvature is not positive at T
+            (absolute-error loss has none anywhere).
     """
     rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     draws = sample.draws[:, component]
     w = sample.weights
 
-    def curvature(t):
-        h = float(w @ loss.d2(draws, t))
-        if h <= 0.0:
-            raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-        return h
-
-    curvature(float(w @ draws))  # where the minimiser starts: before its fallback search
-    t_star = _loss_minimizer(draws, w, loss)
-    denom = curvature(t_star)
+    t_star = loss.action(draws, w)
+    denom = float(w @ loss.d2(draws, t_star))
+    if denom <= 0.0:
+        raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
     ls = loss.d1(draws, t_star) * _summed_scores(model, terms, points)
     block_values = [[-float(wb @ ls[b]) / denom] for b, wb in _weight_blocks(w)]
     return _block_estimate(sample, -float(w @ ls) / denom, block_values)

@@ -406,6 +406,8 @@ class TestSettingRanges:
             ("influence", ["experiment.design_seed=-2"],
              "experiment.design_seed must be >= 0, got -2"),
             ("breakdown", ["experiment.n=-3"], "experiment.n must be >= 1, got -3"),
+            ("influence", ["experiment.mc_draws=10"], "experiment.mc_draws must be >= 1000, got 10"),
+            ("breakdown", ["experiment.mc_draws=10"], "experiment.mc_draws must be >= 1000, got 10"),
         ],
     )
     def test_out_of_range_setting_exits_one_naming_the_key(

@@ -40,10 +40,10 @@ from dpdbayes import (
 from dpdbayes import fit as fit_mdpde
 from dpdbayes.robustness import McConfig, functional_posterior_sample
 from dpdbayes.posterior import (
+    LossFunction,
     PosteriorChain,
     _importance_sample,
     _log_posterior_rows,
-    _loss_minimizer,
 )
 
 
@@ -502,14 +502,14 @@ def test_absolute_error_estimate_is_the_midpoint_of_the_middle_draws(shift):
 
 def test_absolute_error_action_of_an_odd_count_is_the_middle_draw():
     draws = np.array([3.0, 1.0, 2.0])
-    assert _loss_minimizer(draws, np.full(3, 1.0 / 3.0), absolute_error_loss()) == 2.0
+    assert absolute_error_loss().action(draws, np.full(3, 1.0 / 3.0)) == 2.0
 
 
 def test_absolute_error_action_skips_draws_without_weight():
     # The draws at 1 and 3 carry half the weight each: every point between
     # them minimises, whatever weightless draw lies in between.
     draws = np.array([1.0, 1.5, 3.0])
-    assert _loss_minimizer(draws, np.array([0.5, 0.0, 0.5]), absolute_error_loss()) == 2.0
+    assert absolute_error_loss().action(draws, np.array([0.5, 0.0, 0.5])) == 2.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -528,15 +528,76 @@ def test_absolute_error_action_is_an_exact_shift_equivariant_weighted_median(
     assume(np.unique(moved).size == count)  # the shift merges no two draws
     weights = np.full(count, 1.0 / count) if equal else gen.random(count) + 0.01
     loss = absolute_error_loss()
-    action = _loss_minimizer(moved, weights, loss)
+    action = loss.action(moved, weights)
     if equal:
         assert action == np.median(moved)
     else:
         # A middle draw, picked by the weights alone: the shift commutes.
-        assert action == _loss_minimizer(draws, weights, loss) + shift
+        assert action == loss.action(draws, weights) + shift
     # No draw gives a smaller weighted loss.
     risk = lambda t: float(weights @ np.abs(moved - t))  # noqa: E731
     assert risk(action) <= min(risk(t) for t in moved) * (1.0 + 2 * count * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 8])
+def test_squared_error_action_is_the_weighted_mean_bit_for_bit(seed):
+    # Draws on which a Newton step from the weighted mean moves it by round-off.
+    gen = np.random.default_rng(seed)
+    draws = 3.0 + gen.standard_normal(1000)
+    equal = np.full(1000, 1.0 / 1000)
+    assert bayes_estimate(_chain_of(draws), squared_error_loss()) == float(equal @ draws)
+    weights = gen.random(1000) + 0.01
+    weights /= weights.sum()
+    assert squared_error_loss().action(draws, weights) == float(weights @ draws)
+
+
+def _huber_root_error(draws, weights, delta, t):
+    """|s(t)| / s'(t) for the weighted Huber slope s, or inf where s' is 0."""
+    loss = huber_loss(delta)
+    curvature = float(weights @ loss.d2(draws, t))
+    slope = abs(float(weights @ loss.d1(draws, t)))
+    return slope / curvature if curvature > 0.0 else math.inf
+
+
+def test_huber_action_on_bimodal_draws_is_a_root_to_round_off():
+    gen = np.random.default_rng(4)
+    draws = np.concatenate([gen.normal(-2, 0.3, 4000), gen.normal(3, 0.3, 6000)])
+    value = bayes_estimate(_chain_of(draws), huber_loss(1.0))
+    assert _huber_root_error(draws, np.full(draws.size, 1e-4), 1.0, value) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 300),
+    delta=st.sampled_from([0.01, 0.3, 1.0, 10.0]),
+    bimodal=st.booleans(),
+    equal=st.booleans(),
+)
+def test_huber_action_is_a_root_of_the_weighted_slope(seed, count, delta, bimodal, equal):
+    gen = np.random.default_rng(seed)
+    draws = gen.standard_normal(count) + (np.where(gen.random(count) < 0.4, -2.0, 3.0) if bimodal else 0.0)
+    weights = np.full(count, 1.0 / count) if equal else gen.random(count) + 0.01
+    action = huber_loss(delta).action(draws, weights)
+    slope = float(weights @ np.clip(action - draws, -delta, delta))
+    if float(weights @ (np.abs(action - draws) <= delta)) == 0.0:
+        # A flat set of minimisers: the slope vanishes to its round-off.
+        assert abs(slope) <= count * np.finfo(float).eps * delta * float(weights.sum())
+    else:
+        assert _huber_root_error(draws, weights, delta, action) <= 1e-12 * delta
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_huber_action_on_a_flat_run_is_its_midpoint(shift):
+    # Every t in [1, 9] (plus the shift) minimises; the run's midpoint is 5.
+    draws = shift + np.array([0.0, 10.0])
+    assert huber_loss(1.0).action(draws, np.array([0.5, 0.5])) == 5.0 + shift
+
+
+def test_a_loss_without_an_action_is_refused():
+    loss = squared_error_loss()
+    with pytest.raises(TypeError):
+        LossFunction(loss.evaluate, loss.d1, loss.d2)
 
 
 class _NoObjective(LinearKnownSigma):

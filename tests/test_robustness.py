@@ -730,7 +730,7 @@ def test_curvature_stencil_is_one_call_with_the_loop_values(case, alpha):
 
     center = robustness._population_mode(fn_batch, model, spec)
     calls.clear()
-    got = robustness._fd_curvature(fn_batch, center)
+    got = robustness._fd_derivatives(fn_batch, center)[0]
     dim = model.dim
     assert calls == [1 + 2 * dim + 2 * dim * (dim - 1)]
     expected = _fd_curvature_one_row_at_a_time(lambda th: float(fn_batch(th[None, :])[0]), center)
@@ -872,6 +872,36 @@ class TestInfluence:
         ]
         assert np.all(np.isfinite(values))
 
+    def test_huber_influence_on_bimodal_draws_without_curvature_at_the_mean(self, location_setup):
+        from dpdbayes import huber_loss
+
+        model, spec, prior = location_setup
+        gen = np.random.default_rng(7)
+        draws = np.concatenate([gen.normal(-2, 0.3, 800), gen.normal(3, 0.3, 1200)])
+        w = np.full(draws.size, 1.0 / draws.size)
+        sample = robustness.FunctionalPosteriorSample(
+            draws=draws[:, None], weights=w, effective_sample_size=float(draws.size), center=np.array([1.0])
+        )
+        loss = huber_loss(0.5)
+        assert float(w @ loss.d2(draws, float(w @ draws))) == 0.0  # no draw within delta of the mean
+        got = influence_bayes_estimate(
+            model, spec, prior, 0.5, loss, AllDirections(points=8.0), McConfig(seed=1), sample=sample
+        )
+        t_star = loss.action(draws, w)
+        scores = _summed_scores(model, model.contamination_terms(sample.draws, 0.5, spec.theta_g), 8.0)
+        expected = -float(w @ (loss.d1(draws, t_star) * scores)) / float(w @ loss.d2(draws, t_star))
+        assert got.value[0] == expected and np.isfinite(got.standard_error[0])
+
+    def test_absolute_error_influence_is_refused(self, location_setup):
+        from dpdbayes import absolute_error_loss
+
+        model, spec, prior = location_setup
+        mc = McConfig(seed=26, draws=2000)
+        with pytest.raises(ValueError, match="loss curvature at the estimate is not positive"):
+            influence_bayes_estimate(
+                model, spec, prior, 0.5, absolute_error_loss(), AllDirections(points=8.0), mc
+            )
+
 
 def _weighted_cov_vector(draws, weights, scores):
     """The parameter-score covariance as first written, centred per draw:
@@ -979,7 +1009,7 @@ class TestInfluenceGrids:
             model, spec, prior, 0.3, loss, scenario, mc, component=component, sample=sample
         )
         draws, w = sample.draws[:, component], sample.weights
-        t_star = robustness._loss_minimizer(draws, w, loss)
+        t_star = loss.action(draws, w)
         denom = float(w @ loss.d2(draws, t_star))
         terms = model.contamination_terms(sample.draws, 0.3, spec.theta_g)
         ls = loss.d1(draws, t_star) * _summed_scores(model, terms, 6.0)

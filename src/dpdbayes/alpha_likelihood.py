@@ -59,6 +59,14 @@ class AlphaLikelihoodValue:
     hessian: np.ndarray | None = None
 
 
+def _true_parameter(theta_g) -> np.ndarray:
+    """theta_g as a float vector; ``ValueError`` if a coordinate is not finite."""
+    theta_g = np.atleast_1d(np.asarray(theta_g, dtype=float))
+    if not np.all(np.isfinite(theta_g)):
+        raise ValueError("true parameter theta_g must be finite")
+    return theta_g
+
+
 @dataclass(frozen=True)
 class InModel:
     """True distributions lie in the model family at a common parameter."""
@@ -66,9 +74,7 @@ class InModel:
     theta_g: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "theta_g", np.atleast_1d(np.asarray(self.theta_g, dtype=float))
-        )
+        object.__setattr__(self, "theta_g", _true_parameter(self.theta_g))
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,7 @@ class Contaminated:
     points: np.ndarray  # scalar (common point) or per-index vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "theta_g", np.atleast_1d(np.asarray(self.theta_g, dtype=float))
-        )
+        object.__setattr__(self, "theta_g", _true_parameter(self.theta_g))
         pts = np.asarray(self.points, dtype=float)
         if not np.all(np.isfinite(pts)):
             raise ValueError("contamination points must be finite")
@@ -196,12 +200,15 @@ def alpha_likelihood_functional_batch(
     makes every term depend on its index only through the design row, so
     the terms are computed once per distinct design row and weighted by the
     row's count.  Contamination points must be a scalar, a length-1 array
-    or one per index (``ValueError`` naming n otherwise).
+    or one per index (``ValueError`` naming n otherwise), and theta_g must
+    have ``model.dim`` coordinates (``ValueError`` otherwise).
     """
     _check_alpha(alpha)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if not isinstance(spec, (InModel, Contaminated)):
         raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
+    if spec.theta_g.shape != (model.dim,):
+        raise ValueError(f"theta_g has {spec.theta_g.size} coordinates, model.dim is {model.dim}")
     contaminated = isinstance(spec, Contaminated) and spec.eps > 0.0
     per_index = isinstance(spec, Contaminated) and not _is_common_point(spec.points, model.n)
     if contaminated and per_index:

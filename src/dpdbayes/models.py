@@ -38,7 +38,8 @@ The two Gaussian families share one kernel set: ``LinearKnownSigma`` pins
 the scale to its ``sigma`` and ``LinearUnknownSigma`` reads it from the last
 parameter coordinate.  User-defined families can be added through
 ``QuadratureFamily``, which falls back to adaptive quadrature over a declared
-support and finite-difference derivatives.
+support and to derivatives from ``_fd_derivatives``, the one central-difference
+stencil, which also gives the robustness layer its population curvatures.
 
 All operations are pure; family objects are immutable after construction and
 safe to share across workers.
@@ -470,11 +471,16 @@ class ModelFamily(ABC):
         down to alpha ~ 1e-12.  A family may override this with an in-place
         kernel giving the same values.
         """
+        return self._summed_q_rows(x, thetas, alpha, slice(None))
+
+    def _summed_q_rows(self, x, thetas, alpha: float, rows) -> np.ndarray:
+        """``summed_q_value_batch``'s sums over the block ``rows`` (minus
+        the block size at a = 0)."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        ll = self.log_density_batch(x, thetas)
+        ll = self.log_density_batch(x, thetas, rows)
         if alpha == 0.0:
-            return np.sum(ll, axis=1) - self.n
-        ints = np.exp(self.log_power_integral_batch(thetas, alpha))
+            return np.sum(ll, axis=1) - ll.shape[1]
+        ints = np.exp(self.log_power_integral_batch(thetas, alpha, rows))
         return np.sum(np.expm1(alpha * ll) / alpha - ints / (1.0 + alpha), axis=1)
 
     def contamination_terms(self, thetas, alpha: float, theta_true, rows=slice(None)):
@@ -1010,22 +1016,39 @@ class Logistic(ModelFamily):
 # ---------------------------------------------------------------------------
 
 
+def _fd_derivatives(fn_batch, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference negative Hessian and gradient of a function given
+    per parameter row; the whole stencil, 1 + 2d + 2d(d-1) rows, is one
+    ``fn_batch`` call, and the gradient reads its +-h rows."""
+    dim = center.size
+    h = 1e-4 * np.maximum(1.0, np.abs(center))
+    e = np.diag(h)
+    plus, minus = center + e, center - e  # row j: h_j added to, taken from, coordinate j
+    j, k = np.tril_indices(dim, -1)
+    mixed = [plus[j] + e[k], plus[j] - e[k], minus[j] + e[k], minus[j] - e[k]]
+    f = fn_batch(np.vstack([center, plus, minus, *mixed]))
+    fpp, fpm, fmp, fmm = f[1 + 2 * dim :].reshape(4, -1)
+    hess = np.diag((f[1 : 1 + dim] - 2.0 * f[0] + f[1 + dim : 1 + 2 * dim]) / h**2)
+    hess[j, k] = hess[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h[j] * h[k])
+    return -hess, (f[1 : 1 + dim] - f[1 + dim : 1 + 2 * dim]) / (2.0 * h)
+
+
 class QuadratureFamily(ModelFamily):
     """Base class for user-defined continuous families without closed forms.
 
     Subclasses implement ``dim``, ``support`` (integration limits, may be
     infinite), and scalar ``log_density_scalar(i, x, theta)``.  Power
     integrals and expectations are computed index by index with adaptive
-    quadrature (absolute tolerance 1e-10, relative 1e-8), and loss
-    derivatives by central finite differences of the per-index objective
-    term, which integrates that index only.  This path is an order of
+    quadrature (absolute tolerance 1e-10, relative 1e-8), and the loss
+    derivatives of a block by one central-difference stencil
+    (``_fd_derivatives``) of its summed objective terms, which integrates
+    that block only.  This path is an order of
     magnitude slower than the built-ins; it exists for correctness, not
     speed.  ``log_density_scalar`` must let the index enter only through
     its design row ``design[i]``: population sums are taken once per
     distinct row, at its first index.
     """
 
-    _FD_STEP = 1e-6
     _QUAD_OPTS = {"epsabs": 1e-10, "epsrel": 1e-8, "limit": 200}
 
     @abstractmethod
@@ -1073,40 +1096,12 @@ class QuadratureFamily(ModelFamily):
             lambda t: density(i, t, th) * math.exp(density(i, t, g))
         ))
 
-    def _q_term(self, i, x, theta, alpha) -> float:
-        """Objective term q_i = expm1(a ll_i)/a - I_i/(1+a), exactly ll_i at a = 0.
-
-        V_i = -(1+a) q_i - (1+a)/a, so differences of q_i give the loss
-        derivatives at every a >= 0 without the 1/a cancellation in V_i.
-        """
-        ll = self.log_density_scalar(i, x, theta)
-        if alpha == 0.0:
-            return ll
-        log_int = self._log_power_integral(i, theta, alpha)
-        return math.expm1(alpha * ll) / alpha - math.exp(log_int) / (1.0 + alpha)
-
-    @staticmethod
-    def _central_difference(fn, theta, h) -> np.ndarray:
-        """Rows (fn(theta + e_j) - fn(theta - e_j)) / (2 e_j), e_j = h max(1, |theta_j|)."""
-        steps = np.diag(h * np.maximum(1.0, np.abs(theta)))
-        return np.array(
-            [(fn(theta + e) - fn(theta - e)) / (2.0 * e[j]) for j, e in enumerate(steps)]
-        )
-
     def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
-        fd = self._central_difference
-
-        def derivatives(i, v):
-            def q_grad(t):
-                return fd(lambda s: self._q_term(i, v, s, alpha), t, self._FD_STEP)
-
-            h = fd(q_grad, theta, 1e-5)
-            return q_grad(theta), 0.5 * (h + h.T)
-
-        idx = np.arange(self.n)[rows]
-        pts = np.broadcast_to(np.asarray(x, dtype=float), idx.shape)
-        grads, hessians = zip(*(derivatives(int(i), float(v)) for i, v in zip(idx, pts)))
-        return -(1.0 + alpha) * np.sum(grads, axis=0), -(1.0 + alpha) * np.sum(hessians, axis=0)
+        # V_i = -(1+a) q_i - (1+a)/a for the objective term q_i, so the
+        # stencil of the block's summed q_i gives the loss derivatives at
+        # every a >= 0 without the 1/a cancellation in V_i.
+        neg_hess, grad = _fd_derivatives(lambda t: self._summed_q_rows(x, t, alpha, rows), theta)
+        return -(1.0 + alpha) * grad, (1.0 + alpha) * neg_hess
 
     def in_model_psi_omega(self, theta, alpha):
         raise NotImplementedError(

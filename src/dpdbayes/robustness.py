@@ -35,7 +35,7 @@ from scipy import optimize
 
 from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
-from .models import LinearKnownSigma, ModelFamily, _check_alpha, _is_common_point
+from .models import LinearKnownSigma, ModelFamily, _check_alpha, _fd_derivatives, _is_common_point
 from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
 from .posterior import _check_integers, _check_proper, _importance_sample, _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
@@ -132,7 +132,11 @@ class PifResult:
     effective_sample_size: float
 
     def to_csv(self, path, alpha: float) -> None:
-        """Export in long format (alpha, theta, t, value) for plotting."""
+        """Export in long format (alpha, theta, t, value) for plotting; a
+        grid with dim > 1 has no one theta column and raises ``ValueError``."""
+        dim = self.theta_grid.shape[1]
+        if dim > 1:
+            raise ValueError(f"to_csv writes one theta column; the grid has dim = {dim}")
         with open(path, "w", newline="") as fh:
             fh.write("alpha,theta,t,value\n")
             for i in range(self.theta_grid.shape[0]):
@@ -225,23 +229,6 @@ def contamination_score(
 # ---------------------------------------------------------------------------
 # Population pseudo-posterior via importance sampling.
 # ---------------------------------------------------------------------------
-
-
-def _fd_derivatives(fn_batch, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference negative Hessian and gradient of a function given
-    per parameter row; the whole stencil, 1 + 2d + 2d(d-1) rows, is one
-    ``fn_batch`` call, and the gradient reads its +-h rows."""
-    dim = center.size
-    h = 1e-4 * np.maximum(1.0, np.abs(center))
-    e = np.diag(h)
-    plus, minus = center + e, center - e  # row j: h_j added to, taken from, coordinate j
-    j, k = np.tril_indices(dim, -1)
-    mixed = [plus[j] + e[k], plus[j] - e[k], minus[j] + e[k], minus[j] - e[k]]
-    f = fn_batch(np.vstack([center, plus, minus, *mixed]))
-    fpp, fpm, fmp, fmm = f[1 + 2 * dim :].reshape(4, -1)
-    hess = np.diag((f[1 : 1 + dim] - 2.0 * f[0] + f[1 + dim : 1 + 2 * dim]) / h**2)
-    hess[j, k] = hess[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h[j] * h[k])
-    return -hess, (f[1 : 1 + dim] - f[1 + dim : 1 + 2 * dim]) / (2.0 * h)
 
 
 def _population_mode(fn_batch, model, spec) -> np.ndarray:
@@ -376,6 +363,21 @@ def _covariance_estimate(sample, deviations, scores) -> InfluenceEstimate:
     return _block_estimate(sample, value, block_values)
 
 
+def _per_point(model, terms, statistic, t_grid):
+    """Yield statistic(scores) at each common point of ``t_grid``, the
+    scores over the block of ``terms``.  The points outside their far hull
+    share one score vector, so they share one statistic, computed at the
+    first of them, and make no score call."""
+    far = None
+    for t in map(float, t_grid):
+        scores = terms.far_scores(t)
+        if scores is None:
+            yield statistic(_summed_scores(model, terms, t))
+        else:
+            far = statistic(scores) if far is None else far
+            yield far
+
+
 def influence_posterior_mean(
     model: ModelFamily,
     spec: InModel,
@@ -415,21 +417,11 @@ def influence_curve(
     """
     sample, terms = _population_terms(model, spec, prior, alpha, mc)
     deviations = _deviations(sample)
-    far_estimate = None
-    t_grid = np.asarray(t_grid, dtype=float)
-    values = np.empty((t_grid.size, model.dim))
-    errors = np.empty_like(values)
-    for j, t in enumerate(t_grid):
-        t = float(t)
-        far = terms.far_scores(t)
-        if far is None:
-            est = _covariance_estimate(sample, deviations, _summed_scores(model, terms, t))
-        else:
-            if far_estimate is None:
-                far_estimate = _covariance_estimate(sample, deviations, far)
-            est = far_estimate
-        values[j] = est.value
-        errors[j] = est.standard_error
+    estimates = list(_per_point(
+        model, terms, lambda s: _covariance_estimate(sample, deviations, s), t_grid
+    ))
+    values = np.array([est.value for est in estimates]).reshape(-1, model.dim)
+    errors = np.array([est.standard_error for est in estimates]).reshape(-1, model.dim)
     return values, errors, sample
 
 
@@ -521,10 +513,10 @@ def pseudo_influence(
     parameter grid.  The posterior variance of K (the variance-sensitivity
     ingredient) and a split-half check of the centering are reported per t;
     points outside the draws' far hull share those statistics, and points
-    also outside the grid's share one column.  The grid is a (k, dim) array,
-    or a length-k vector when dim = 1.  A grid of another shape, or with a
-    row outside the parameter space (``model.in_support``), raises
-    ``ValueError`` before any score is computed.
+    outside the grid's take its far scores (``_per_point``).  The grid is a
+    (k, dim) array, or a length-k vector when dim = 1.  A grid of another
+    shape, or with a row outside the parameter space (``model.in_support``),
+    raises ``ValueError`` before any score is computed.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim == 1 and model.dim == 1:
@@ -554,29 +546,11 @@ def pseudo_influence(
         split_se = math.sqrt(2.0 * var / max(sample.effective_sample_size / 2.0, 1.0))
         return mean_score, var, split, split_se
 
-    far_statistics = far_column = None
+    stats = list(_per_point(model, draw_terms, draw_statistics, t_grid))
+    mean_score, post_var, check, check_se = np.array(stats).reshape(-1, 4).T
     surface = np.empty((theta_grid.shape[0], t_grid.size))
-    post_var = np.empty(t_grid.size)
-    check = np.empty(t_grid.size)
-    check_se = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        t = float(t)
-        draw_far, grid_far = draw_terms.far_scores(t), grid_terms.far_scores(t)
-        if draw_far is None:
-            stats = draw_statistics(_summed_scores(model, draw_terms, t))
-        else:
-            if far_statistics is None:
-                far_statistics = draw_statistics(draw_far)
-            stats = far_statistics
-        mean_score, post_var[j], check[j], check_se[j] = stats
-        if grid_far is None:
-            surface[:, j] = _summed_scores(model, grid_terms, t) - mean_score
-        elif draw_far is None:
-            surface[:, j] = grid_far - mean_score
-        else:
-            if far_column is None:
-                far_column = grid_far - mean_score
-            surface[:, j] = far_column
+    for j, scores in enumerate(_per_point(model, grid_terms, lambda s: s, t_grid)):
+        surface[:, j] = scores - mean_score[j]
     return PifResult(
         theta_grid=theta_grid,
         t_grid=t_grid,

@@ -446,6 +446,21 @@ class TestFunctional:
         zero = alpha_likelihood_functional(model, InModel(theta_g), theta, 0.0)
         assert abs(tiny - zero) < 1e-5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_true_parameter_is_refused(self, bad):
+        with pytest.raises(ValueError, match="theta_g must be finite"):
+            InModel([bad])
+        with pytest.raises(ValueError, match="theta_g must be finite"):
+            Contaminated([5.0, bad], 0.1, 3.0)
+
+    def test_true_parameter_of_the_wrong_length_names_the_dimension(self):
+        model = LinearKnownSigma(np.ones((5, 1)), 1.0)
+        for spec in (InModel([1.0, 2.0]), Contaminated([1.0, 2.0], 0.1, 3.0)):
+            with pytest.raises(ValueError, match=r"theta_g has 2 coordinates, model.dim is 1"):
+                alpha_likelihood_functional(model, spec, [1.0], 0.5)
+            with pytest.raises(ValueError, match="model.dim is 1"):
+                alpha_likelihood_functional_batch(model, spec, np.ones((3, 1)), 0.0)
+
 
 class TestDataFit:
     def test_objective_grid_maximum_at_point_estimate(self):

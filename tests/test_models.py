@@ -538,6 +538,34 @@ class TestQuadratureDerivatives:
         assert quad.converged
         assert quad.theta_hat[0] == pytest.approx(closed.theta_hat[0], abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-6, 0.1, 0.5, 1.0])
+    def test_two_coefficient_derivatives_match_closed_forms(self, alpha):
+        gen = np.random.default_rng(16)
+        design = np.column_stack([np.ones(8), gen.standard_normal(8)])
+        x = design @ [1.0, -0.5] + gen.standard_normal(8)
+        quad, closed = _GaussianViaQuadrature(design), LinearKnownSigma(design, 1.0)
+        for theta in ([1.0, -0.5], [0.0, 0.0], [2.5, 1.5], [-3.0, 0.7]):
+            grad, hess = quad.loss_derivative_sums(x, np.array(theta), alpha)
+            exact_grad, exact_hess = closed.loss_derivative_sums(x, np.array(theta), alpha)
+            assert np.max(np.abs(grad - exact_grad)) <= 5e-7 * np.max(np.abs(exact_grad))
+            assert np.max(np.abs(hess - exact_hess)) <= 5e-5 * np.max(np.abs(exact_hess))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_derivatives_are_one_stencil_of_the_block(self, alpha):
+        calls = []
+
+        class Spy(_GaussianViaQuadrature):
+            def log_density_batch(self, points, thetas, rows=slice(None)):
+                calls.append(np.atleast_2d(thetas).shape[0])
+                return super().log_density_batch(points, thetas, rows)
+
+        gen = np.random.default_rng(17)
+        for d in (1, 2, 3):
+            model = Spy(gen.standard_normal((4, d)))
+            calls.clear()
+            model.loss_derivative_sums(gen.standard_normal(4), gen.standard_normal(d), alpha)
+            assert calls == [1 + 2 * d + 2 * d * (d - 1)]
+
     def test_vanishing_integral_names_the_index(self):
         model = _GaussianViaQuadrature(np.array([[1.0], [1.0]]))
         with pytest.raises(ValueError, match="index 1"):

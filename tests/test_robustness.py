@@ -1325,6 +1325,20 @@ class TestLongFormatExports:
         assert lines[0] == "alpha,theta,t,value"
         assert len(lines) == 1 + 5 * 2
 
+    def test_pif_surface_csv_refuses_a_grid_of_several_coordinates(self, tmp_path):
+        model = LinearKnownSigma(np.column_stack([np.ones(10), np.linspace(-1.0, 1.0, 10)]), 1.0)
+        spec, prior = InModel([5.0, 1.0]), GaussianPrior.isotropic([5.0, 1.0], 10.0)
+        # Rows that differ only in the second coordinate: one theta column
+        # would write them as identical rows.
+        theta_grid = np.array([[5.0, 0.5], [5.0, 1.5]])
+        result = pseudo_influence(
+            model, spec, prior, 0.4, theta_grid, [0.0, 10.0], McConfig(seed=53, draws=2_000)
+        )
+        path = tmp_path / "pif.csv"
+        with pytest.raises(ValueError, match="dim = 2"):
+            result.to_csv(path, alpha=0.4)
+        assert not path.exists()
+
     def test_breakdown_curve_csv(self, tmp_path, location_setup):
         model, _, prior = location_setup
         curve = breakdown_experiment(

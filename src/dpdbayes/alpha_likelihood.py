@@ -95,6 +95,18 @@ class Contaminated:
             raise ValueError("contamination proportion must lie in [0, 1)")
 
 
+def _check_truth(model: ModelFamily, spec) -> None:
+    """``TypeError`` unless ``spec`` is a true-distribution spec, and
+    ``ValueError`` unless its theta_g is a point of the model's parameter
+    space: ``model.dim`` coordinates, inside ``model.in_support``."""
+    if not isinstance(spec, (InModel, Contaminated)):
+        raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
+    if spec.theta_g.shape != (model.dim,):
+        raise ValueError(f"theta_g has {spec.theta_g.size} coordinates, model.dim is {model.dim}")
+    if not model.in_support(spec.theta_g)[0]:
+        raise ValueError(f"theta_g {spec.theta_g} lies outside the parameter space")
+
+
 def alpha_likelihood(
     model: ModelFamily,
     data: Dataset,
@@ -201,14 +213,11 @@ def alpha_likelihood_functional_batch(
     the terms are computed once per distinct design row and weighted by the
     row's count.  Contamination points must be a scalar, a length-1 array
     or one per index (``ValueError`` naming n otherwise), and theta_g must
-    have ``model.dim`` coordinates (``ValueError`` otherwise).
+    be a point of the parameter space (``_check_truth``).
     """
     _check_alpha(alpha)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if not isinstance(spec, (InModel, Contaminated)):
-        raise TypeError(f"unsupported true-distribution spec: {type(spec).__name__}")
-    if spec.theta_g.shape != (model.dim,):
-        raise ValueError(f"theta_g has {spec.theta_g.size} coordinates, model.dim is {model.dim}")
+    _check_truth(model, spec)
     contaminated = isinstance(spec, Contaminated) and spec.eps > 0.0
     per_index = isinstance(spec, Contaminated) and not _is_common_point(spec.points, model.n)
     if contaminated and per_index:

@@ -105,6 +105,10 @@ class SandwichMatrices:
 
 
 def _is_pd(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is finite and has a Cholesky factor.  LAPACK
+    factors a matrix with an inf or NaN entry without raising."""
+    if not np.isfinite(matrix).all():
+        return False
     try:
         np.linalg.cholesky(matrix)
         return True

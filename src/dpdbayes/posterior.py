@@ -124,13 +124,22 @@ class GaussianPrior:
         return cls(mean, sd**2 * np.eye(mean.size))
 
     def log_density(self, theta) -> float:
-        return float(self.log_density_rows(np.atleast_2d(theta))[0])
+        return float(self.log_density_batch(np.atleast_2d(theta))[0])
 
     def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
         dev = np.atleast_2d(thetas) - self.mean[None, :]
         # A finite sum needs finite terms; the full test runs only without one.
         if not (math.isfinite(dev.sum()) or np.isfinite(dev).all()):
             raise ValueError("array must not contain infs or NaNs")
+        if self.mean.size == 1:
+            # Divide, as dtrtrs does for one row but not for a block, in
+            # place: the operations of log_norm - 0.5 * y * y.
+            y = dev[:, 0]
+            y /= self._chol[0, 0]
+            y *= y
+            y *= -0.5
+            y += self._log_norm
+            return y
         # The C-ordered lower factor, transposed, is the Fortran-ordered upper
         # factor: this is the LAPACK call that
         # solve_triangular(chol, dev.T, lower=True) makes, without its
@@ -139,28 +148,6 @@ class GaussianPrior:
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
         return self._log_norm - 0.5 * (y * y).sum(axis=0)
-
-    def log_density_rows(self, thetas: np.ndarray) -> np.ndarray:
-        """(m,) values of ``log_density``, the rule that a sampler uses.
-
-        A one-parameter row is divided by the 1x1 Cholesky factor, alone or
-        in a block.  The LAPACK solve of ``log_density_batch`` (OpenBLAS
-        dtrtrs) multiplies a block by the reciprocal of the factor instead,
-        which differs from a division in the last bit, so a block's rows
-        would differ from single rows.  With more parameters this is
-        ``log_density_batch``: the sampler passes those one row at a time.
-        """
-        if self.mean.size > 1:
-            return self.log_density_batch(thetas)
-        y = np.atleast_2d(thetas)[:, 0] - self.mean[0]
-        if not (math.isfinite(y.sum()) or np.isfinite(y).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        # In place, the same operations as log_norm - 0.5 * (y * y).
-        y /= self._chol[0, 0]
-        y *= y
-        y *= -0.5
-        y += self._log_norm
-        return y
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self._chol @ rng.standard_normal(self.mean.size)
@@ -545,6 +532,8 @@ def _proposal_factor(model, data, alpha, theta_hat, config, warnings):
     if config.proposal_scale is not None:
         return config.proposal_scale * np.eye(dim)
     curv = -alpha_likelihood(model, data, theta_hat, alpha, derivatives=True).hessian
+    if not np.isfinite(curv).all():  # no ridge makes it positive definite
+        raise mdpde.SingularHessianError("curvature at the chain's start is not finite")
     ridge = 0.0
     while not mdpde._is_pd(curv + ridge * np.eye(dim)):
         ridge = max(ridge * 10.0, 1e-8 * max(np.trace(curv) / dim, 1.0))
@@ -610,12 +599,8 @@ def sample(
     rng = np.random.default_rng(config.seed)
     warnings: list[str] = []
 
-    # The Gaussian prior values its rows one by one; the other priors'
-    # batch rows already are their single-row values.
-    prior_rows = getattr(prior, "log_density_rows", prior.log_density_batch)
-
     def log_post(rows: np.ndarray) -> list[float]:
-        return _log_posterior_rows(model, data, rows, alpha, prior_rows(rows)).tolist()
+        return _log_posterior_rows(model, data, rows, alpha, prior.log_density_batch(rows)).tolist()
 
     if start is not None:
         current = model.validate_theta(np.asarray(start, dtype=float))[None, :]

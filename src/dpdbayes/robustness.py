@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .alpha_likelihood import Contaminated, InModel, alpha_likelihood_functional_batch
+from .alpha_likelihood import Contaminated, InModel, _check_truth, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily, _check_alpha, _fd_derivatives, _is_common_point
 from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
@@ -221,6 +221,7 @@ def contamination_score(
     _check_alpha(alpha)
     if not isinstance(spec, InModel):
         raise TypeError("contamination scores are defined against in-model truths")
+    _check_truth(model, spec)
     theta = model.validate_theta(theta)
     terms = model.contamination_terms(theta, alpha, spec.theta_g, model._check_index(i))
     return float(_summed_scores(model, terms, t)[0])
@@ -269,9 +270,11 @@ def functional_posterior_sample(
     Draws outside the parameter space are dropped, so the sample may hold
     fewer than ``mc.draws`` rows.  Raises ``DegenerateWeightsError`` when the
     effective sample size stays below 50 after two widening retries, and
-    ``ValueError`` for an improper prior at a > 0, before any objective call.
+    ``ValueError`` for an improper prior at a > 0 or a truth outside the
+    parameter space (``_check_truth``), before any objective call.
     """
     _check_proper(prior, alpha)
+    _check_truth(model, spec)
 
     def fn_batch(thetas):  # log population objective plus log prior per row
         return _log_posterior_rows(model, spec, thetas, alpha, prior.log_density_batch(thetas))

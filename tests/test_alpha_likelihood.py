@@ -461,6 +461,16 @@ class TestFunctional:
             with pytest.raises(ValueError, match="model.dim is 1"):
                 alpha_likelihood_functional_batch(model, spec, np.ones((3, 1)), 0.0)
 
+    @pytest.mark.parametrize("sigma_g", [-1.0, 0.0])
+    def test_true_parameter_outside_the_parameter_space_is_refused(self, sigma_g):
+        # sigma_g enters the Gaussian forms only as its square.
+        model = LinearUnknownSigma(np.ones((5, 1)))
+        for spec in (InModel([5.0, sigma_g]), Contaminated([5.0, sigma_g], 0.1, 3.0)):
+            with pytest.raises(ValueError, match="outside the parameter space"):
+                alpha_likelihood_functional(model, spec, [5.0, 1.0], 0.5)
+            with pytest.raises(ValueError, match="outside the parameter space"):
+                alpha_likelihood_functional_batch(model, spec, np.ones((3, 2)), 0.0)
+
 
 class TestDataFit:
     def test_objective_grid_maximum_at_point_estimate(self):

@@ -185,6 +185,15 @@ class TestFit:
         assert result.gradient_norm > 0.0
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((2, 2), np.nan), np.diag([1.0, np.inf]), np.array([[np.nan]])],
+    ids=["nan", "inf", "nan-1x1"],
+)
+def test_a_matrix_that_is_not_finite_is_not_positive_definite(matrix):
+    assert not mdpde._is_pd(matrix)
+
+
 class TestUnitFreeStop:
     @pytest.mark.parametrize("replication", [232, 323])
     def test_criterion_3_replications_converge(self, replication):

@@ -301,11 +301,11 @@ def test_one_parameter_prior_rows_are_divided_row_by_row():
     for t in thetas[:, 0]:
         y = (t - 5.0) / sd
         divided.append(-0.5 * (posterior._LOG_2PI + 2.0 * math.log(sd)) - 0.5 * (y * y))
-    assert np.array_equal(_PRIOR.log_density_rows(thetas), divided)
+    assert np.array_equal(_PRIOR.log_density_batch(thetas), divided)
     assert [_PRIOR.log_density(row) for row in thetas] == divided
     thetas[2, 0] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _PRIOR.log_density_rows(thetas)
+        _PRIOR.log_density_batch(thetas)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,16 @@ class TestContaminationScore:
             k = contamination_score(model, spec, 0, spec.theta_g, 5.0, alpha)
             assert k > 0.0
 
+    def test_a_true_parameter_of_the_wrong_length_is_refused(self):
+        model = LinearKnownSigma(np.ones((5, 1)), 1.0)
+        with pytest.raises(ValueError, match=r"theta_g has 2 coordinates, model.dim is 1"):
+            contamination_score(model, InModel([1.0, 2.0]), 0, [1.0], 3.0, 0.5)
+
+    def test_a_true_scale_outside_the_parameter_space_is_refused(self):
+        model = LinearUnknownSigma(np.ones((5, 1)))
+        with pytest.raises(ValueError, match="outside the parameter space"):
+            contamination_score(model, InModel([1.0, -2.0]), 0, [1.0, 1.0], 3.0, 0.5)
+
     def test_closed_form_matches_monte_carlo(self, location_setup):
         model, spec, _ = location_setup
         alpha = 0.5
@@ -675,6 +685,31 @@ class TestFunctionalPosteriorSample:
             "weights accepted at proposal inflation 1.5",
         )
         assert sample.effective_sample_size >= 50.0
+
+    def test_an_infinite_curvature_at_a_box_edge_falls_back_to_the_identity(self):
+        # The mode sits on the box's lower edge, where the stencil steps
+        # outside the box and the curvature is infinite.
+        model = LinearKnownSigma(np.ones((20, 1)), 1.0)
+        sample = functional_posterior_sample(
+            model, InModel([5.0]), UniformBoxPrior([5.0], [6.0]), 0.5, McConfig(seed=1, draws=2000)
+        )
+        assert sample.warnings == (
+            "curvature at the mode not positive definite; proposal uses the identity",
+            "weights accepted at proposal inflation 1.5",
+        )
+        assert sample.effective_sample_size >= 50.0
+        outside = (sample.draws[:, 0] < 5.0) | (sample.draws[:, 0] > 6.0)
+        assert np.all(sample.weights[outside] == 0.0)
+        assert 5.0 < float(sample.weights @ sample.draws[:, 0]) < 6.0
+
+    @pytest.mark.parametrize("sigma_g", [-1.0, 0.0])
+    def test_a_truth_outside_the_parameter_space_is_refused(self, sigma_g):
+        model = LinearUnknownSigma(np.ones((5, 1)))
+        prior = GaussianPrior([5.0, 1.0], np.eye(2))
+        with pytest.raises(ValueError, match="outside the parameter space"):
+            functional_posterior_sample(
+                model, InModel([5.0, sigma_g]), prior, 0.5, McConfig(seed=1, draws=2000)
+            )
 
     def test_a_regular_sample_has_no_warnings(self, location_setup):
         model, spec, prior = location_setup

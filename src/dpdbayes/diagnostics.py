@@ -165,12 +165,15 @@ def bvm_distance(
     Cholesky factor of ``psi`` (the limit covariance is psi^{-1}), and
     estimates half the L1 distance between the empirical and standard normal
     densities per coordinate, averaged across coordinates for p > 1
-    (a product-of-marginals approximation).
+    (a product-of-marginals approximation).  A ``psi`` that is not finite
+    and positive definite raises ``ValueError``.
     """
     if chain.size < 1000:
         raise InsufficientSampleError("need at least 1000 draws for the estimate")
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     psi = np.atleast_2d(np.asarray(psi, dtype=float))
+    if not mdpde._is_pd(psi):
+        raise ValueError("psi must be a finite positive-definite matrix")
     chol = np.linalg.cholesky(psi)
     t = math.sqrt(n) * (chain.draws - theta_hat[None, :])
     y = t @ chol  # whitened: limit covariance of each column is 1

@@ -95,12 +95,11 @@ def laplace_integral(
     theta_hat = _fit_if_needed(model, data, alpha, theta_hat)
     state = alpha_likelihood(model, data, theta_hat, alpha, derivatives=True)
     curvature = -state.hessian
-    try:
-        chol = np.linalg.cholesky(curvature)
-    except np.linalg.LinAlgError as exc:
+    if not mdpde._is_pd(curvature):
         raise IndefiniteCurvatureError(
             "negative objective Hessian is not positive definite at the mode"
-        ) from exc
+        )
+    chol = np.linalg.cholesky(curvature)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     q_mode = float(q_fn(theta_hat))
     if not q_mode > 0.0:

@@ -16,6 +16,7 @@ families), the estimator covariance is psi^{-1} omega psi^{-1} / n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +160,11 @@ def _newton_ascent(
         grad = state.gradient
         gnorm = float(np.linalg.norm(grad))
         curvature = -state.hessian
-        if _is_pd(curvature):
+        pd = _is_pd(curvature)  # True only for a finite matrix
+        if not (math.isfinite(gnorm) and (pd or np.isfinite(curvature).all())):
+            converged = False  # overflowed: no step from a non-finite state is meaningful
+            break
+        if pd:
             direction = np.linalg.solve(curvature, grad)
             slope = float(grad @ direction)  # the Newton decrement
             converged = slope <= ROUNDOFF * max(1.0, abs(state.value))
@@ -213,7 +218,10 @@ def fit(
     A stationary point whose curvature has a flat direction (a vanishing
     gradient at infinity, as on separated logistic data, or a plateau where
     every f_i^a has vanished, reached from a start far from the data) also
-    returns ``converged=False``, with ``flat=True``.
+    returns ``converged=False``, with ``flat=True``.  So does, with
+    ``flat=False``, an ascent whose derivatives overflow: on responses that
+    the design fits exactly the objective has no maximizer and grows without
+    bound as the scale goes to 0.
     """
     _check_alpha(alpha)
     model.validate_data(data)

@@ -659,7 +659,7 @@ class LinearKnownSigma(ModelFamily):
     def _split(self, theta: np.ndarray):
         """(coefficients, scale) of a parameter vector or of parameter rows.
 
-        The scale of a single vector is a float; a scale that varies by row
+        The scale of a single vector is a scalar; a scale that varies by row
         comes as an (m, 1) column that broadcasts against (m, k) blocks.
         """
         return theta, self.sigma
@@ -838,8 +838,8 @@ class LinearUnknownSigma(LinearKnownSigma):
         return self.n_covariates + 1
 
     def _split(self, theta):
-        if theta.ndim == 1:
-            return theta[:-1], float(theta[-1])
+        if theta.ndim == 1:  # a numpy scale: a vanished sigma**2 divides to inf
+            return theta[:-1], theta[-1]
         return theta[:, :-1], theta[:, -1:]
 
 

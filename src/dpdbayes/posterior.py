@@ -127,7 +127,10 @@ class GaussianPrior:
         return float(self.log_density_batch(np.atleast_2d(theta))[0])
 
     def log_density_batch(self, thetas: np.ndarray) -> np.ndarray:
-        dev = np.atleast_2d(thetas) - self.mean[None, :]
+        thetas = np.atleast_2d(thetas)
+        if thetas.shape[1:] != self.mean.shape:
+            raise ValueError(f"prior rows need dim = {self.dim} coordinates, got {thetas.shape}")
+        dev = thetas - self.mean[None, :]
         # A finite sum needs finite terms; the full test runs only without one.
         if not (math.isfinite(dev.sum()) or np.isfinite(dev).all()):
             raise ValueError("array must not contain infs or NaNs")

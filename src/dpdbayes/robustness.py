@@ -330,40 +330,33 @@ def _weight_blocks(weights):
     return blocks
 
 
-def _weighted_deviations(draws, weights):
-    """u = w (theta - theta_bar), theta_bar = w.theta: the parameter side of
-    every weighted covariance with a score s, which is then (s - w.s) u."""
-    u = draws - weights @ draws
-    u *= weights[:, None]
-    return u
-
-
-def _deviations(sample):
-    """(u, [(slice, w_b, u_b) per weight block]) of a sample: made once, for
-    every score whose covariance with the parameter is wanted."""
+def _deviations(sample, deviation=lambda draws, w: draws - w @ draws):
+    """(u, [(slice, w_b, u_b) per weight block]) of a sample, u = w
+    deviation(draws, w): the side of every weighted covariance with a score
+    s, which is then (s - w.s) u.  Made once, for every score whose
+    covariance is wanted.  The default deviation, theta - w.theta, gives the
+    covariance with the parameter."""
     draws, w = sample.draws, sample.weights
-    blocks = [(b, wb, _weighted_deviations(draws[b], wb)) for b, wb in _weight_blocks(w)]
-    return _weighted_deviations(draws, w), blocks
 
+    def weighted(rows, wr):
+        u = deviation(draws[rows], wr)
+        u *= wr[:, None]
+        return u
 
-def _block_estimate(sample, value, block_values) -> InfluenceEstimate:
-    """``value`` with the standard error of its (blocks, k) block values."""
-    block_values = np.asarray(block_values)
-    se = block_values.std(axis=0, ddof=1) / math.sqrt(block_values.shape[0])
-    return InfluenceEstimate(
-        value=np.atleast_1d(value),
-        standard_error=se,
-        effective_sample_size=sample.effective_sample_size,
-    )
+    return weighted(slice(None), w), [(b, wb, weighted(b, wb)) for b, wb in _weight_blocks(w)]
 
 
 def _covariance_estimate(sample, deviations, scores) -> InfluenceEstimate:
-    """The parameter-score covariance of the sample, (s - w.s) u, with the
-    standard error of its block values (s_b - w_b.s_b) u_b."""
+    """The covariance of the sample, (s - w.s) u, with the standard error of
+    its block values (s_b - w_b.s_b) u_b; neither moves with the level of s."""
     u, blocks = deviations
     value = (scores - float(sample.weights @ scores)) @ u
-    block_values = [(scores[b] - float(wb @ scores[b])) @ ub for b, wb, ub in blocks]
-    return _block_estimate(sample, value, block_values)
+    block_values = np.array([(scores[b] - float(wb @ scores[b])) @ ub for b, wb, ub in blocks])
+    return InfluenceEstimate(
+        value=value,
+        standard_error=block_values.std(axis=0, ddof=1) / math.sqrt(len(blocks)),
+        effective_sample_size=sample.effective_sample_size,
+    )
 
 
 def _per_point(model, terms, statistic, t_grid):
@@ -472,10 +465,15 @@ def influence_bayes_estimate(
 ) -> InfluenceEstimate:
     """Influence function of the estimator under a general scalar loss.
 
-    Evaluates -E[L'(theta, T) * score] / E[L''(theta, T)] at the loss
-    minimizer T of the population posterior; with squared-error loss this
-    reproduces the posterior-mean influence exactly.  T is the loss's exact
-    ``action`` on the population weights.
+    Evaluates -Cov(L'(theta, T), score) / E[L''(theta, T)] at the loss
+    minimizer T of the population posterior: the covariance of
+    ``influence_posterior_mean`` with the deviation -L'(theta, T)/E[L''] in
+    place of theta - E[theta], so with squared-error loss, where that is
+    theta - T, the two agree to round-off.  T is the loss's exact ``action``
+    on the population weights.
+    Each weight block's value is the covariance within the block, with the
+    global T and curvature, so a block cannot fail the curvature test and
+    the standard error does not move with the score's level.
 
     Raises:
         ValueError: If the weighted loss curvature is not positive at T
@@ -483,16 +481,13 @@ def influence_bayes_estimate(
     """
     rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
-    draws = sample.draws[:, component]
-    w = sample.weights
-
+    draws, w = sample.draws[:, component], sample.weights
     t_star = loss.action(draws, w)
     denom = float(w @ loss.d2(draws, t_star))
     if denom <= 0.0:
         raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-    ls = loss.d1(draws, t_star) * _summed_scores(model, terms, points)
-    block_values = [[-float(wb @ ls[b]) / denom] for b, wb in _weight_blocks(w)]
-    return _block_estimate(sample, -float(w @ ls) / denom, block_values)
+    deviations = _deviations(sample, lambda x, _: -loss.d1(x[:, component, None], t_star) / denom)
+    return _covariance_estimate(sample, deviations, _summed_scores(model, terms, points))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ class TestLibraryErrorExitCodes:
         assert main(["fit", str(data_path), "--model", "linear", "--alpha", "0.3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_exactly_fitting_responses_exit_two(self, tmp_path, capsys, alpha):
+        z = np.random.default_rng(1).standard_normal(30)
+        data_path = tmp_path / "exact.csv"
+        np.savetxt(data_path, np.column_stack([5.0 + 2.0 * z, np.ones(30), z]), delimiter=",")
+        with pytest.warns(RuntimeWarning):
+            code = main(["fit", str(data_path), "--model", "linear-unknown", "--alpha", alpha])
+        assert code == 2
+        assert "converged: False" in capsys.readouterr().out
+
     def test_indefinite_curvature_exits_two(self, tmp_path, capsys, monkeypatch):
         from dpdbayes import laplace
 

@@ -110,6 +110,12 @@ class TestBvmDistance:
         bad = bvm_distance(_fake_chain(draws), np.zeros(1), 4.0 * np.eye(1), 1)
         assert bad.tv_estimate > good.tv_estimate + 0.2
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_psi_that_is_not_finite_is_refused(self, value):
+        draws = np.random.default_rng(16).standard_normal((2000, 1))
+        with pytest.raises(ValueError, match="psi must be a finite positive-definite matrix"):
+            bvm_distance(_fake_chain(draws), np.zeros(1), np.array([[value]]), 10)
+
     def test_requires_enough_draws(self):
         draws = np.zeros((100, 1))
         with pytest.raises(InsufficientSampleError):

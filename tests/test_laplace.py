@@ -12,6 +12,7 @@ from dpdbayes import (
     Dataset,
     FlatPrior,
     GaussianPrior,
+    IndefiniteCurvatureError,
     LinearKnownSigma,
     Logistic,
     alpha_likelihood,
@@ -91,6 +92,22 @@ class TestLaplaceIntegral:
         model, data = one_dim_problem(40)
         with pytest.raises(ValueError, match="positive"):
             laplace_integral(model, data, lambda th: 0.0, 0.25)
+
+
+    def test_a_curvature_that_is_not_finite_is_refused(self, one_dim_problem):
+        class InfiniteCurvature(LinearKnownSigma):
+            def loss_derivative_sums(self, x, theta, alpha, rows=slice(None)):
+                grad, hess = super().loss_derivative_sums(x, theta, alpha, rows)
+                return grad, np.full_like(hess, np.inf)
+
+        model, data = one_dim_problem(40)
+        model = InfiniteCurvature(model.design, 1.0)
+        prior = GaussianPrior([5.0], [[1.0]])
+        message = "negative objective Hessian is not positive definite at the mode"
+        with pytest.raises(IndefiniteCurvatureError, match=message):
+            laplace_integral(model, data, lambda th: 1.0, 0.5, theta_hat=[5.0])
+        with pytest.raises(IndefiniteCurvatureError, match=message):
+            laplace_expectation(model, data, prior, lambda th: th, 0.5, theta_hat=[5.0])
 
 
 class TestLaplaceExpectation:

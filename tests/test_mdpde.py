@@ -184,6 +184,24 @@ class TestFit:
         assert not result.converged
         assert result.gradient_norm > 0.0
 
+    @pytest.mark.parametrize(
+        "alpha, init", [(0.0, None), (0.5, None), (0.5, [5.0, 2.0, 1e-170])],
+        ids=["alpha0", "alpha0.5", "underflowed-scale-start"],
+    )
+    def test_an_exact_fit_stops_unconverged_where_the_kernel_overflows(self, alpha, init):
+        # Responses in the design's column space: Q grows without bound as
+        # sigma -> 0, so the ascent drives sigma down until the derivatives
+        # overflow, and stops there.
+        z = np.random.default_rng(1).standard_normal(30)
+        design = np.column_stack([np.ones(30), z])
+        data = Dataset(5.0 + 2.0 * z, design)
+        with pytest.warns(RuntimeWarning):
+            result = fit(LinearUnknownSigma(design), data, alpha, init=init)
+        assert not result.converged and not result.flat
+        assert result.iterations < 200 and result.theta_hat[-1] > 0.0
+        with pytest.raises(FitNotConvergedError):
+            result.converged_estimate()
+
 
 @pytest.mark.parametrize(
     "matrix",

@@ -109,6 +109,19 @@ class TestPriors:
         )
         assert prior.log_density(theta) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "mean, row",
+        [([0.0], [1.0, 2.0, 3.0]), ([0.0, 1.0], [1.0, 2.0, 3.0]), ([0.0, 1.0], [[1.0], [2.0]])],
+        ids=["one-parameter", "two-parameter", "one-column"],
+    )
+    def test_gaussian_refuses_rows_of_another_length(self, mean, row):
+        prior = GaussianPrior(mean, np.eye(len(mean)))
+        message = f"prior rows need dim = {len(mean)} coordinates"
+        with pytest.raises(ValueError, match=message):
+            prior.log_density_batch(np.array(row))
+        with pytest.raises(ValueError, match=message):
+            prior.log_density(row)
+
     def test_gaussian_requires_spd(self):
         with pytest.raises(ValueError):
             GaussianPrior([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])

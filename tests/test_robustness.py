@@ -924,7 +924,8 @@ class TestInfluence:
         )
         t_star = loss.action(draws, w)
         scores = _summed_scores(model, model.contamination_terms(sample.draws, 0.5, spec.theta_g), 8.0)
-        expected = -float(w @ (loss.d1(draws, t_star) * scores)) / float(w @ loss.d2(draws, t_star))
+        deviation = -loss.d1(sample.draws, t_star) / float(w @ loss.d2(draws, t_star))
+        expected = ((scores - float(w @ scores)) @ (deviation * w[:, None]))[0]
         assert got.value[0] == expected and np.isfinite(got.standard_error[0])
 
     def test_absolute_error_influence_is_refused(self, location_setup):
@@ -1047,11 +1048,59 @@ class TestInfluenceGrids:
         t_star = loss.action(draws, w)
         denom = float(w @ loss.d2(draws, t_star))
         terms = model.contamination_terms(sample.draws, 0.3, spec.theta_g)
-        ls = loss.d1(draws, t_star) * _summed_scores(model, terms, 6.0)
-        value, error = _fancy_index_estimate(
-            sample, ls, lambda _, wb, s: -float(wb @ s) / denom
-        )
+
+        def centred_covariance(x, wb, s):
+            return (s - float(wb @ s)) @ ((-loss.d1(x[:, [component]], t_star) / denom) * wb[:, None])
+
+        value, error = _fancy_index_estimate(sample, _summed_scores(model, terms, 6.0), centred_covariance)
         assert np.array_equal(got.value, value) and np.array_equal(got.standard_error, error)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_influence_does_not_move_with_the_score_level(self, alpha, monkeypatch):
+        from dpdbayes import huber_loss
+
+        model, spec, prior = _two_coefficient_setup()
+        mc = McConfig(seed=48, draws=3000)
+        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+        scenario = AllDirections(points=6.0)
+
+        def estimates():
+            yield influence_posterior_mean(model, spec, prior, alpha, scenario, mc, sample=sample)
+            for loss in (squared_error_loss(), huber_loss(0.3)):
+                for component in range(model.dim):
+                    yield influence_bayes_estimate(
+                        model, spec, prior, alpha, loss, scenario, mc, component=component, sample=sample
+                    )
+
+        reference = list(estimates())
+        summed = robustness._summed_scores
+        monkeypatch.setattr(robustness, "_summed_scores", lambda *args: summed(*args) + 1e3)
+        for got, ref in zip(estimates(), reference, strict=True):
+            assert np.abs(got.value - ref.value).max() <= 1e-12 * np.abs(ref.value).max()
+            assert np.abs(got.standard_error / ref.standard_error - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("setup", ["location", "two-coefficient"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_squared_error_influence_is_the_posterior_mean_influence(self, location_setup, setup, alpha):
+        model, spec, prior = location_setup if setup == "location" else _two_coefficient_setup()
+        mc = McConfig(seed=49, draws=20_000)
+        sample = functional_posterior_sample(model, spec, prior, alpha, mc)
+        mean, bayes = [], []
+        for t in np.arange(-100.0, 100.0 + 1e-9, 10.0):
+            mean.append(influence_posterior_mean(model, spec, prior, alpha, AllDirections(t), mc, sample=sample))
+            bayes.append([
+                influence_bayes_estimate(
+                    model, spec, prior, alpha, squared_error_loss(), AllDirections(t), mc,
+                    component=component, sample=sample,
+                )
+                for component in range(model.dim)
+            ])
+        values = np.array([est.value for est in mean])
+        errors = np.array([est.standard_error for est in mean])
+        bayes_values = np.array([[est.value[0] for est in row] for row in bayes])
+        bayes_errors = np.array([[est.standard_error[0] for est in row] for row in bayes])
+        assert np.abs(bayes_values - values).max() <= 1e-13 * np.abs(values).max()
+        assert np.abs(bayes_errors / errors - 1.0).max() <= 1e-12
 
     def test_curve_scores_inside_points_only(self, location_setup, monkeypatch):
         model, spec, prior = location_setup

@@ -36,6 +36,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -304,16 +305,22 @@ def _cmd_fit(args, config: Config) -> int:
     model = _build_model(config, data.design)
     model.validate_data(data)
     alpha = config.get_float("sampler", "alpha")
-    result = mdpde.fit(model, data, alpha)
-    sw = mdpde.sandwich(model, data, result.theta_hat, alpha)
-    cov = mdpde.asymptotic_covariance(sw, model.n)
+    # An ascent that diverges overflows on its way; its verdict reports that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = mdpde.fit(model, data, alpha)
+    gnorm = result.gradient_norm
     print(f"family: {config.get('model', 'family')}  alpha: {_fmt(alpha)}")
     print(f"config: {config.digest()}")
     print("theta_hat: " + " ".join(_fmt(v) for v in result.theta_hat))
     print(
         f"converged: {result.converged}  iterations: {result.iterations}  "
-        f"gradient_norm: {_fmt(result.gradient_norm)}"
+        f"gradient_norm: {_fmt(gnorm) if math.isfinite(gnorm) else 'not finite'}"
     )
+    if not result.converged:
+        print("sandwich: not computed, the fit did not converge")
+        return 2
+    sw = mdpde.sandwich(model, data, result.theta_hat, alpha)
+    cov = mdpde.asymptotic_covariance(sw, model.n)
     for name, matrix in (
         ("psi", sw.psi),
         ("omega", sw.omega),
@@ -323,7 +330,7 @@ def _cmd_fit(args, config: Config) -> int:
         print(name + ":")
         for row in np.atleast_2d(matrix):
             print("  " + " ".join(_fmt(v) for v in row))
-    return 0 if result.converged else 2
+    return 0
 
 
 def _cmd_sample(args, config: Config) -> int:

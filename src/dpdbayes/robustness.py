@@ -232,28 +232,83 @@ def contamination_score(
 # ---------------------------------------------------------------------------
 
 
+#: One-parameter mode search (``_bracket_mode``): a local or zoom grid holds
+#: 2 * _HALF_GRID + 1 points, so it contains its center and a zoom shrinks the
+#: bracket _HALF_GRID-fold; a contaminated sweep adds _SWEEP_POINTS uniform
+#: points; the search stops once the bracket's half-width is within
+#: _BRACKET_TOL * max(1, |theta|), or after _MAX_ROUNDS zooms or _MAX_WALKS walks.
+_HALF_GRID = 32
+_SWEEP_POINTS = 2048
+_BRACKET_TOL = 1e-10
+_MAX_ROUNDS = 40
+_MAX_WALKS = 200
+_UNIT_GRID = np.arange(-_HALF_GRID, _HALF_GRID + 1) / _HALF_GRID  # exact 0 at the center
+
+
+def _best_index(values) -> int:
+    """Index of the largest value; of tied maxima the middle one, so a grid
+    flat to its last bit keeps its center."""
+    ties = np.flatnonzero(values == values.max())
+    return int(ties[ties.size // 2])
+
+
+def _bracket_mode(fn_batch, grid, spread) -> tuple[float, float]:
+    """(maximizer, half-width of its bracket) of a one-parameter objective
+    given per row, starting from one ``fn_batch`` call on ``grid``.
+
+    The two cells around the best point are re-gridded with
+    2 * _HALF_GRID + 1 points centered on it, one call per zoom.  A best
+    point at an end of a grid is a walk: the grid is re-centered on it at
+    the same width (``spread`` after the sweep), so a mode outside the
+    swept range is followed.  A half-width above the tolerance means a cap
+    ended the search.
+    """
+    grid = np.unique(grid)
+    j = _best_index(fn_batch(grid[:, None]))
+    best = float(grid[j])
+    half = spread if j in (0, grid.size - 1) else max(best - grid[j - 1], grid[j + 1] - best)
+    rounds = walks = 0
+    while half > _BRACKET_TOL * max(1.0, abs(best)) and rounds < _MAX_ROUNDS and walks < _MAX_WALKS:
+        grid = best + half * _UNIT_GRID
+        j = _best_index(fn_batch(grid[:, None]))
+        best = float(grid[j])
+        if j in (0, grid.size - 1):
+            walks += 1
+        else:
+            half /= _HALF_GRID
+            rounds += 1
+    return best, half
+
+
 def _population_mode(fn_batch, model, spec) -> np.ndarray:
     """Maximizer of a population objective given per parameter row.
 
-    A contaminated one-dimensional objective can be multimodal, so a grid
-    spanning theta_g and the contamination points is swept first.  The
-    Nelder-Mead polish stops on a function tolerance relative to the
-    objective's size at the start: at a = 0 a contamination point at 100
-    puts the objective near -1.9e4, where one ulp exceeds 1e-12.
+    A one-parameter objective is searched by batched grids
+    (``_bracket_mode``).  The first call sweeps grids of
+    ±10 ``model.scale`` around theta_g and, under contamination, around the
+    lowest and highest contamination points, plus a uniform grid spanning
+    them all: a contaminated objective can be multimodal, and its peak near
+    a point at 1e6 is narrower than the uniform grid's step.  Each grid
+    holds its center, so theta_g itself is evaluated.
+
+    Models with two or more parameters start Nelder-Mead at theta_g; it
+    stops on a function tolerance relative to the objective's size there.
     """
+    start = np.asarray(spec.theta_g, dtype=float)
+    if model.dim == 1:
+        spread = 10.0 * model.scale(start)
+        centers = [float(start[0])]
+        sweep = []
+        if isinstance(spec, Contaminated) and spec.eps > 0.0:
+            pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
+            centers += [float(pts.min()), float(pts.max())]
+            sweep = np.linspace(min(centers) - spread, max(centers) + spread, _SWEEP_POINTS)
+        grid = np.concatenate([c + spread * _UNIT_GRID for c in centers] + [sweep])
+        return np.array([_bracket_mode(fn_batch, grid, spread)[0]])
 
     def neg(theta):
         return -float(fn_batch(np.atleast_2d(theta))[0])
 
-    start = np.asarray(spec.theta_g, dtype=float)
-    if isinstance(spec, Contaminated) and spec.eps > 0.0 and model.dim == 1:
-        pts = np.atleast_1d(np.asarray(spec.points, dtype=float))
-        spread = 10.0 * model.scale(start)
-        lo = min(float(start[0]), float(pts.min())) - spread
-        hi = max(float(start[0]), float(pts.max())) + spread
-        grid = np.linspace(lo, hi, 2048)
-        vals = fn_batch(grid[:, None])
-        start = np.array([grid[int(np.argmax(vals))]])
     fatol = 1e-12 * max(1.0, abs(neg(start)))
     res = optimize.minimize(neg, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": fatol, "maxiter": 2000})
     return np.atleast_1d(np.asarray(res.x, dtype=float))
@@ -615,14 +670,16 @@ def minimum_divergence_functional(
     model: ModelFamily, spec, alpha: float
 ) -> np.ndarray:
     """Global maximizer of the population objective (no prior), found by the
-    same search as the importance-sampling center (``_population_mode``),
-    then one Newton step on central differences (``_fd_derivatives``) where
-    their curvature is positive definite.
+    same search as the importance-sampling center (``_population_mode``,
+    batched grid zooms for one parameter), then one Newton step on central
+    differences (``_fd_derivatives``) where their curvature is positive
+    definite.
 
     The search resolves the maximizer only as finely as the objective's
     rounding: at a = 0 with contamination at 1e5 the objective is -2.1e10,
-    flat to its last bit within 3e-4 of the optimum.  Differences over the
-    stencil's wider steps are not, so the step recovers the lost digits.
+    flat to its last bit within 3e-4 of the optimum, and the zooms settle
+    anywhere in that flat stretch.  Differences over the stencil's wider
+    steps are not flat, so the step recovers the lost digits.
     """
 
     def fn_batch(thetas):

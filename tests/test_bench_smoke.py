@@ -88,7 +88,7 @@ def test_traced_influence_pass_records_the_probes(bench, spans, tmp_path, monkey
     assert "robustness._TwoScaleProposal.sample_batch" in recorded
     metrics = spans.summarize(tracer, 1)
     assert metrics["robustness.t_points"] == 924
-    assert metrics["robustness.optimizer_evals"] > 0
+    assert metrics["robustness.optimizer_evals"] == 0
     assert metrics["robustness.scores_ms_per_point"] > 0
     after = _package_attributes(spans.LAYERS)
     assert after.keys() == before.keys()

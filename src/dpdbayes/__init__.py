@@ -62,15 +62,16 @@ from .models import (
 )
 from .posterior import (
     DegenerateWeightsError,
+    Estimate,
     FlatPrior,
     GaussianPrior,
-    ImportanceResult,
     LossFunction,
     NoFiniteStartError,
     PosteriorChain,
     PosteriorMeanEstimate,
     SamplerConfig,
     UniformBoxPrior,
+    WeightedDraws,
     absolute_error_loss,
     bayes_estimate,
     huber_loss,

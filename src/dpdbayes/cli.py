@@ -352,12 +352,14 @@ def _cmd_sample(args, config: Config) -> int:
             for j in range(model.dim)
         ]
     else:
-        chain = posterior.sample(model, data, prior, alpha, _sampler_config(config, seed))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``fit``
+            start = mdpde.fit(model, data, alpha).converged_estimate()
+        chain = posterior.sample(model, data, prior, alpha, _sampler_config(config, seed), start=start)
+        est = posterior.posterior_mean(chain)  # before any output: it refuses a one-draw chain
         chain.to_csv(outdir / "chain.csv")
         print(f"wrote {outdir / 'chain.csv'}")
         for warning in chain.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        est = posterior.posterior_mean(chain)
         rows = [
             [j, float(est.estimate[j]), float(est.standard_error[j]), "mcmc-mean",
              float(alpha), seed, digest]

@@ -247,10 +247,10 @@ def posterior_mean_replications(
             sw = mdpde.sandwich(model, data, theta_hat, alpha)
             is_rng = np.random.default_rng(int(rng.integers(2**63 - 1)))
             # Observed curvature n psi_hat: its inverse is the Laplace covariance.
-            draws, weights, _, _ = _importance_sample(
+            sample = _importance_sample(
                 model, data, prior, alpha, theta_hat, model.n * sw.psi_hat, is_rng, is_draws
             )
-            estimates.append(weights @ draws)
+            estimates.append(sample.mean())
         except (mdpde.FitNotConvergedError, mdpde.SingularHessianError,
                 DegenerateWeightsError, np.linalg.LinAlgError) as exc:
             kind = type(exc).__name__

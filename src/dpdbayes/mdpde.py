@@ -159,6 +159,9 @@ def _newton_ascent(
     for iterations in range(max(max_iter, 0) + 1):
         grad = state.gradient
         gnorm = float(np.linalg.norm(grad))
+        if gnorm == math.inf and np.isfinite(grad).all():  # the squares overflowed
+            top = float(np.abs(grad).max())
+            gnorm = top * float(np.linalg.norm(grad / top))
         curvature = -state.hessian
         pd = _is_pd(curvature)  # True only for a finite matrix
         if not (math.isfinite(gnorm) and (pd or np.isfinite(curvature).all())):

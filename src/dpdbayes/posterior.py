@@ -23,7 +23,9 @@ parameters each candidate is a (1, dim) row passed to the call as it is.
 Posterior expectations can also be computed without a chain through
 self-normalized importance sampling, from a caller's Gaussian proposal or
 from the defensive two-scale proposal that data and population posteriors
-share.
+share.  A sample from the shared proposal is a ``WeightedDraws``, whose
+methods give weighted means, variances and covariances with block standard
+errors; an importance-sampling estimate is an ``Estimate``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -50,7 +53,8 @@ __all__ = [
     "SamplerConfig",
     "PosteriorChain",
     "PosteriorMeanEstimate",
-    "ImportanceResult",
+    "Estimate",
+    "WeightedDraws",
     "LossFunction",
     "DegenerateWeightsError",
     "NoFiniteStartError",
@@ -76,6 +80,13 @@ def _check_integers(settings, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if settings.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {settings.seed}")
+
+
+def _check_component(component, dim: int) -> None:
+    """Refuse a parameter coordinate that is not an integer in [0, dim)."""
+    integer = isinstance(component, (int, np.integer)) and not isinstance(component, bool)
+    if not (integer and 0 <= component < dim):
+        raise ValueError(f"component must be an integer in [0, dim) for dim = {dim}, got {component!r}")
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -290,12 +301,91 @@ class PosteriorMeanEstimate:
 
 
 @dataclass(frozen=True)
-class ImportanceResult:
-    """Self-normalized importance-sampling estimate with its diagnostics."""
+class Estimate:
+    """A Monte Carlo estimate with its standard error and the effective
+    sample size of the importance weights behind it."""
 
     estimate: np.ndarray
-    effective_sample_size: float
     standard_error: np.ndarray
+    effective_sample_size: float
+
+
+@dataclass(frozen=True)
+class WeightedDraws:
+    """Self-normalized importance draws from a proposal at ``center``, with
+    the sampler's ``warnings``: the result of every importance sample.  Its
+    methods give weighted means, variances and covariances of per-draw
+    values, a covariance with the standard error of ten block values."""
+
+    draws: np.ndarray  # (m, dim)
+    weights: np.ndarray  # normalized, sums to one
+    effective_sample_size: float
+    center: np.ndarray
+    warnings: tuple[str, ...] = ()
+
+    def mean(self, values=None):
+        """Weighted mean of per-draw ``values``, of the draws by default."""
+        return self.weights @ (self.draws if values is None else values)
+
+    def moments(self, values) -> tuple[float, np.ndarray, float]:
+        """(mean, values - mean, variance) of per-draw scalar ``values``."""
+        mean = float(self.weights @ values)
+        centered = values - mean
+        return mean, centered, float(self.weights @ centered**2)
+
+    def variance(self, values) -> float:
+        """Weighted variance of per-draw scalar ``values``."""
+        return self.moments(values)[2]
+
+    @cached_property
+    def _halves(self):  # once per sample: a pif grid splits at every point
+        w1, w2 = np.split(self.weights, [self.weights.size // 2])
+        return w1, w2, float(w1.sum()), float(w2.sum())
+
+    def split_difference(self, values) -> float:
+        """Weighted mean of per-draw ``values`` over the first half of the
+        draws minus that over the second, each half's weights normalized."""
+        w1, w2, tot1, tot2 = self._halves
+        return float(w1 @ values[: w1.size]) / tot1 - float(w2 @ values[w1.size :]) / tot2
+
+    def blocks(self):
+        """Ten contiguous draw blocks with positive total weight, as pairs of
+        (slice, weights normalized within the block); the blocks are
+        ``np.array_split``'s."""
+        each, extra = divmod(self.weights.size, 10)
+        blocks, start = [], 0
+        for b in range(10):
+            block = slice(start, start + each + (b < extra))
+            start = block.stop
+            wb = self.weights[block]
+            tot = wb.sum()
+            if tot > 0.0:
+                blocks.append((block, wb / tot))
+        return blocks
+
+    def deviations(self, deviation=lambda draws, w: draws - w @ draws):
+        """(u, [(slice, w_b, u_b) per block]), u = w deviation(draws, w): the
+        side of every weighted covariance with a score s, which is then
+        (s - w.s) u.  Made once, for every score whose covariance is wanted.
+        The default deviation, theta - w.theta, gives the covariance with
+        the parameter."""
+
+        def weighted(rows, wr):
+            u = deviation(self.draws[rows], wr)
+            u *= wr[:, None]
+            return u
+
+        return weighted(slice(None), self.weights), [(b, wb, weighted(b, wb)) for b, wb in self.blocks()]
+
+    def covariance(self, deviations, scores) -> Estimate:
+        """The covariance (s - w.s) u of per-draw ``scores`` with the side
+        ``deviations`` made, and the standard error of its block values
+        (s_b - w_b.s_b) u_b; neither moves with the level of s."""
+        u, blocks = deviations
+        value = (scores - float(self.weights @ scores)) @ u
+        block_values = np.array([(scores[b] - float(wb @ scores[b])) @ ub for b, wb, ub in blocks])
+        error = block_values.std(axis=0, ddof=1) / math.sqrt(len(blocks))
+        return Estimate(value, error, self.effective_sample_size)
 
 
 @dataclass(frozen=True)
@@ -496,12 +586,14 @@ class _TwoScaleProposal:
         return np.logaddexp(a, b)
 
 
-def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng, m: int):
-    """(draws, weights, effective sample size, inflation) from the two-scale
-    proposal at ``center`` with covariance inflation^2 inv(``curvature``).
-    Draws outside ``model.in_support`` are dropped, the rest weighted by
+def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng, m: int, warnings=()):
+    """``WeightedDraws`` from the two-scale proposal at ``center`` with
+    covariance inflation^2 inv(``curvature``).  Draws outside
+    ``model.in_support`` are dropped, the rest weighted by
     (log prior + Q) - log proposal.  The inflation is ``_BASE_INFLATION``,
-    doubled after each ``DegenerateWeightsError``, twice at most."""
+    doubled after each ``DegenerateWeightsError``, twice at most.  The
+    caller's ``warnings`` are kept, and the accepted inflation noted after
+    them when they exist or it is not the first."""
     _check_inputs(model, data_or_spec, prior, alpha)
     cov = np.linalg.inv(curvature)
     cov = 0.5 * (cov + cov.T)
@@ -514,10 +606,14 @@ def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng
         _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
         log_w -= proposal.log_density_batch(draws)
         try:
-            return (draws, *_normalised_weights(log_w, f" with inflation {inflation:g}"), inflation)
+            weights, ess = _normalised_weights(log_w, f" with inflation {inflation:g}")
         except DegenerateWeightsError:
             if retry == 2:
                 raise
+            continue
+        if warnings or retry:
+            warnings = (*warnings, f"weights accepted at proposal inflation {inflation:g}")
+        return WeightedDraws(draws, weights, ess, center, tuple(warnings))
 
 
 def log_posterior_unnorm(
@@ -685,14 +781,15 @@ def sample(
 
 
 def posterior_mean(chain: PosteriorChain) -> PosteriorMeanEstimate:
-    """Componentwise chain mean with batch-means standard errors."""
+    """Componentwise chain mean with batch-means standard errors; a chain
+    of one draw has no error estimate and raises ``ValueError``."""
     draws = chain.draws
     m = draws.shape[0]
-    est = draws.mean(axis=0)
     batch = max(int(math.floor(math.sqrt(m))), 1)
     n_batches = m // batch
     if n_batches < 2:
-        return PosteriorMeanEstimate(estimate=est, standard_error=np.zeros_like(est))
+        raise ValueError(f"batch-means standard errors need at least 2 draws; the chain has {m}")
+    est = draws.mean(axis=0)
     trimmed = draws[: n_batches * batch].reshape(n_batches, batch, -1)
     means = trimmed.mean(axis=1)
     se = means.std(axis=0, ddof=1) / math.sqrt(n_batches)
@@ -703,7 +800,9 @@ def bayes_estimate(chain: PosteriorChain, loss: LossFunction, component: int = 0
     """The action t minimising the Monte Carlo average loss over the chain's
     draws of one component: ``loss.action`` with equal weights, which is
     exact for every built-in loss (the mean, the median, the Huber root).
+    A ``component`` that is not an integer in [0, dim) raises ``ValueError``.
     """
+    _check_component(component, chain.draws.shape[1])
     draws = chain.draws[:, component]
     return loss.action(draws, np.full(draws.size, 1.0 / draws.size))
 
@@ -717,7 +816,7 @@ def importance_expectation(
     proposal: GaussianPrior,
     m: int,
     seed: int,
-) -> ImportanceResult:
+) -> Estimate:
     """Self-normalized importance-sampling posterior expectation of h(theta).
 
     Weights are proportional to exp(Q) pi / proposal-density, with Q the
@@ -741,6 +840,4 @@ def importance_expectation(
     est = w_norm @ values
     dev = values - est[None, :]
     se = np.sqrt(np.sum((w_norm[:, None] * dev) ** 2, axis=0))
-    return ImportanceResult(
-        estimate=est, effective_sample_size=float(ess), standard_error=se
-    )
+    return Estimate(estimate=est, standard_error=se, effective_sample_size=float(ess))

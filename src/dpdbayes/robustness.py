@@ -22,7 +22,9 @@ to ever larger magnitudes.  A bounded (plateauing) trajectory for a > 0 and
 unbounded linear growth at a = 0 reproduce the theoretical breakdown
 behaviour.  Population posterior expectations are computed by the posterior
 module's importance sampler, its proposal centered at the maximizer of the
-population objective plus log prior and scaled by the curvature there.
+population objective plus log prior and scaled by the curvature there: the
+sample is a ``posterior.WeightedDraws``, and each influence value is its
+weighted covariance, an ``Estimate`` with a block standard error.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ from scipy import optimize
 from .alpha_likelihood import Contaminated, InModel, _check_truth, alpha_likelihood_functional_batch
 from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily, _check_alpha, _fd_derivatives, _is_common_point
-from .posterior import _BASE_INFLATION, GaussianPrior, LossFunction
-from .posterior import _check_integers, _check_proper, _importance_sample, _log_posterior_rows
+from .posterior import Estimate, GaussianPrior, LossFunction, WeightedDraws
+from .posterior import _check_component, _check_integers, _check_proper, _importance_sample
+from .posterior import _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
 __all__ = [
     "OneDirection",
     "AllDirections",
     "McConfig",
-    "FunctionalPosteriorSample",
-    "InfluenceEstimate",
     "PifResult",
     "SensitivityReport",
     "BreakdownCurve",
@@ -90,33 +91,6 @@ class McConfig:
         _check_integers(self, "seed", "draws")
         if self.draws < 1000:
             raise ValueError("population importance sampling needs >= 1000 draws")
-
-
-@dataclass(frozen=True)
-class FunctionalPosteriorSample:
-    """Weighted draws approximating the population pseudo-posterior."""
-
-    draws: np.ndarray  # (m, dim)
-    weights: np.ndarray  # normalized, sums to one
-    effective_sample_size: float
-    center: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.draws
-
-    def variance(self, values: np.ndarray) -> float:
-        mean = float(self.weights @ values)
-        return float(self.weights @ (values - mean) ** 2)
-
-
-@dataclass(frozen=True)
-class InfluenceEstimate:
-    """Monte Carlo influence value with block standard errors."""
-
-    value: np.ndarray
-    standard_error: np.ndarray
-    effective_sample_size: float
 
 
 @dataclass(frozen=True)
@@ -316,8 +290,9 @@ def _population_mode(fn_batch, model, spec) -> np.ndarray:
 
 def functional_posterior_sample(
     model: ModelFamily, spec, prior, alpha: float, mc: McConfig
-) -> FunctionalPosteriorSample:
-    """Importance sample from the population pseudo-posterior.
+) -> WeightedDraws:
+    """Importance sample from the population pseudo-posterior, as
+    ``WeightedDraws`` whose ``center`` is the mode below.
 
     The shared two-scale proposal is centered at the maximizer of the
     population objective plus log prior, scaled by its finite-difference
@@ -336,22 +311,12 @@ def functional_posterior_sample(
 
     center = _population_mode(fn_batch, model, spec)
     curvature = _fd_derivatives(fn_batch, center)[0]
-    warnings = []
+    warnings = ()
     if not _is_pd(curvature):
         curvature = np.eye(center.size)
-        warnings.append("curvature at the mode not positive definite; proposal uses the identity")
-    draws, weights, ess, inflation = _importance_sample(
-        model, spec, prior, alpha, center, curvature, np.random.default_rng(mc.seed), mc.draws
-    )
-    if warnings or inflation != _BASE_INFLATION:
-        warnings.append(f"weights accepted at proposal inflation {inflation:g}")
-    return FunctionalPosteriorSample(
-        draws=draws,
-        weights=weights,
-        effective_sample_size=float(ess),
-        center=center,
-        warnings=tuple(warnings),
-    )
+        warnings = ("curvature at the mode not positive definite; proposal uses the identity",)
+    rng = np.random.default_rng(mc.seed)
+    return _importance_sample(model, spec, prior, alpha, center, curvature, rng, mc.draws, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -367,51 +332,6 @@ def _population_terms(model, spec, prior, alpha, mc, sample=None, rows=slice(Non
     if sample is None:
         sample = functional_posterior_sample(model, spec, prior, alpha, mc)
     return sample, model.contamination_terms(sample.draws, alpha, spec.theta_g, rows)
-
-
-def _weight_blocks(weights):
-    """Ten contiguous draw blocks with positive total weight, as pairs of
-    (slice, weights normalized within the block), for block standard errors;
-    the blocks are ``np.array_split``'s."""
-    each, extra = divmod(weights.size, 10)
-    blocks, start = [], 0
-    for b in range(10):
-        block = slice(start, start + each + (b < extra))
-        start = block.stop
-        wb = weights[block]
-        tot = wb.sum()
-        if tot > 0.0:
-            blocks.append((block, wb / tot))
-    return blocks
-
-
-def _deviations(sample, deviation=lambda draws, w: draws - w @ draws):
-    """(u, [(slice, w_b, u_b) per weight block]) of a sample, u = w
-    deviation(draws, w): the side of every weighted covariance with a score
-    s, which is then (s - w.s) u.  Made once, for every score whose
-    covariance is wanted.  The default deviation, theta - w.theta, gives the
-    covariance with the parameter."""
-    draws, w = sample.draws, sample.weights
-
-    def weighted(rows, wr):
-        u = deviation(draws[rows], wr)
-        u *= wr[:, None]
-        return u
-
-    return weighted(slice(None), w), [(b, wb, weighted(b, wb)) for b, wb in _weight_blocks(w)]
-
-
-def _covariance_estimate(sample, deviations, scores) -> InfluenceEstimate:
-    """The covariance of the sample, (s - w.s) u, with the standard error of
-    its block values (s_b - w_b.s_b) u_b; neither moves with the level of s."""
-    u, blocks = deviations
-    value = (scores - float(sample.weights @ scores)) @ u
-    block_values = np.array([(scores[b] - float(wb @ scores[b])) @ ub for b, wb, ub in blocks])
-    return InfluenceEstimate(
-        value=value,
-        standard_error=block_values.std(axis=0, ddof=1) / math.sqrt(len(blocks)),
-        effective_sample_size=sample.effective_sample_size,
-    )
 
 
 def _per_point(model, terms, statistic, t_grid):
@@ -436,18 +356,19 @@ def influence_posterior_mean(
     alpha: float,
     scenario,
     mc: McConfig,
-    sample: FunctionalPosteriorSample | None = None,
-) -> InfluenceEstimate:
-    """Influence function of the posterior-mean functional.
+    sample: WeightedDraws | None = None,
+) -> Estimate:
+    """Influence function of the posterior-mean functional, as an ``Estimate``.
 
     The value is the population-posterior covariance between the parameter
-    and the summed contamination score; block-split standard errors quantify
-    the Monte Carlo noise.
+    and the summed contamination score (``WeightedDraws.covariance``);
+    block-split standard errors quantify the Monte Carlo noise.  A given
+    ``sample`` is used instead of drawing one.
     """
     rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
     scores = _summed_scores(model, terms, points)
-    return _covariance_estimate(sample, _deviations(sample), scores)
+    return sample.covariance(sample.deviations(), scores)
 
 
 def influence_curve(
@@ -457,21 +378,19 @@ def influence_curve(
     alpha: float,
     t_grid,
     mc: McConfig,
-) -> tuple[np.ndarray, np.ndarray, FunctionalPosteriorSample]:
+) -> tuple[np.ndarray, np.ndarray, WeightedDraws]:
     """All-directions influence values over a grid of common contamination
     points, sharing one population-posterior sample, its prepared score
     terms and its weighted deviations across the grid.  The points outside
     the terms' far hull share one score vector, so they share one estimate.
 
     Returns (values, standard_errors, sample) with values of shape
-    (len(t_grid), dim).
+    (len(t_grid), dim) and the sample's ``WeightedDraws``.
     """
     sample, terms = _population_terms(model, spec, prior, alpha, mc)
-    deviations = _deviations(sample)
-    estimates = list(_per_point(
-        model, terms, lambda s: _covariance_estimate(sample, deviations, s), t_grid
-    ))
-    values = np.array([est.value for est in estimates]).reshape(-1, model.dim)
+    deviations = sample.deviations()
+    estimates = list(_per_point(model, terms, lambda s: sample.covariance(deviations, s), t_grid))
+    values = np.array([est.estimate for est in estimates]).reshape(-1, model.dim)
     errors = np.array([est.standard_error for est in estimates]).reshape(-1, model.dim)
     return values, errors, sample
 
@@ -516,9 +435,10 @@ def influence_bayes_estimate(
     scenario,
     mc: McConfig,
     component: int = 0,
-    sample: FunctionalPosteriorSample | None = None,
-) -> InfluenceEstimate:
-    """Influence function of the estimator under a general scalar loss.
+    sample: WeightedDraws | None = None,
+) -> Estimate:
+    """Influence function of the estimator under a general scalar loss, as
+    an ``Estimate``.
 
     Evaluates -Cov(L'(theta, T), score) / E[L''(theta, T)] at the loss
     minimizer T of the population posterior: the covariance of
@@ -531,18 +451,20 @@ def influence_bayes_estimate(
     the standard error does not move with the score's level.
 
     Raises:
-        ValueError: If the weighted loss curvature is not positive at T
-            (absolute-error loss has none anywhere).
+        ValueError: If ``component`` is not an integer in [0, dim), before
+            any draw, or if the weighted loss curvature is not positive at
+            T (absolute-error loss has none anywhere).
     """
+    _check_component(component, model.dim)
     rows, points = _scenario_block(scenario, model.n)
     sample, terms = _population_terms(model, spec, prior, alpha, mc, sample, rows)
-    draws, w = sample.draws[:, component], sample.weights
-    t_star = loss.action(draws, w)
-    denom = float(w @ loss.d2(draws, t_star))
+    draws = sample.draws[:, component]
+    t_star = loss.action(draws, sample.weights)
+    denom = float(sample.mean(loss.d2(draws, t_star)))
     if denom <= 0.0:
         raise ValueError("loss curvature at the estimate is not positive; ill-posed loss")
-    deviations = _deviations(sample, lambda x, _: -loss.d1(x[:, component, None], t_star) / denom)
-    return _covariance_estimate(sample, deviations, _summed_scores(model, terms, points))
+    deviations = sample.deviations(lambda x, _: -loss.d1(x[:, component, None], t_star) / denom)
+    return sample.covariance(deviations, _summed_scores(model, terms, points))
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +506,12 @@ def pseudo_influence(
     t_grid = np.asarray(t_grid, dtype=float)
     sample, draw_terms = _population_terms(model, spec, prior, alpha, mc)
     grid_terms = model.contamination_terms(theta_grid, alpha, spec.theta_g)
-    half = sample.draws.shape[0] // 2
-    w1, w2 = sample.weights[:half], sample.weights[half:]
-    tot1, tot2 = float(w1.sum()), float(w2.sum())
 
     def draw_statistics(scores):
         """(mean, variance, split-half check, its se) of the draws' scores."""
-        mean_score = float(sample.weights @ scores)
-        centered = scores - mean_score
-        var = float(sample.weights @ centered**2)
+        mean_score, centered, var = sample.moments(scores)
         # Half means of the centered scores: raw ones would cancel.
-        split = float(w1 @ centered[:half]) / tot1 - float(w2 @ centered[half:]) / tot2
+        split = sample.split_difference(centered)
         # Crude scale for the split discrepancy from the pooled variance.
         split_se = math.sqrt(2.0 * var / max(sample.effective_sample_size / 2.0, 1.0))
         return mean_score, var, split, split_se

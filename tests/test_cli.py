@@ -107,6 +107,34 @@ class TestLibraryErrorExitCodes:
         assert "nan" not in out and "inf" not in out
         assert out.splitlines()[-1] == "sandwich: not computed, the fit did not converge"
 
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_exactly_fitting_responses_sample_exits_two(self, tmp_path, capsys, alpha):
+        # The chain's start is the same fit, with the same guard.
+        z = np.random.default_rng(1).standard_normal(30)
+        data_path = tmp_path / "exact.csv"
+        np.savetxt(data_path, np.column_stack([5.0 + 2.0 * z, np.ones(30), z]), delimiter=",")
+        args = ["sample", str(data_path), "--model", "linear-unknown", "--alpha", alpha,
+                "--seed", "1", "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("error: point estimate did not converge") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "chain.csv").exists()
+
+    def test_one_draw_chain_exits_one(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        _write_linear_csv(data_path)
+        args = ["sample", str(data_path), "--seed", "1", "--set", "sampler.chain_length=1",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: batch-means standard errors need at least 2 draws; the chain has 1\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_indefinite_curvature_exits_two(self, tmp_path, capsys, monkeypatch):
         from dpdbayes import laplace
 

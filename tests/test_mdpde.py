@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,7 @@ class TestFit:
             result = fit(LinearUnknownSigma(design), data, alpha, init=init)
         assert not result.converged and not result.flat
         assert result.iterations < 200 and result.theta_hat[-1] > 0.0
+        assert math.isfinite(result.gradient_norm)
         with pytest.raises(FitNotConvergedError):
             result.converged_estimate()
 

@@ -439,6 +439,19 @@ class TestPosteriorMean:
         assert np.allclose(est.estimate, 3.25)
         assert np.allclose(est.standard_error, 0.0)
 
+    def test_a_one_draw_chain_has_no_error_estimate(self):
+        chain = PosteriorChain(
+            draws=np.array([[3.25, 1.0]]),
+            log_post_values=np.zeros(1),
+            acceptance_rate=0.0,
+            seed=0,
+            alpha=0.1,
+            burn_in=0,
+            thinning=1,
+        )
+        with pytest.raises(ValueError, match="at least 2 draws; the chain has 1$"):
+            posterior_mean(chain)
+
 
 class TestBayesEstimate:
     def test_squared_error_equals_mean(self, conjugate_chain):
@@ -451,6 +464,12 @@ class TestBayesEstimate:
         median = float(np.median(draws))
         gap = float(np.max(np.diff(draws)))
         assert abs(value - median) <= gap
+
+    @pytest.mark.parametrize("component", [-1, 1, 5, 0.0, True])
+    def test_a_component_outside_the_parameters_is_refused(self, conjugate_chain, component):
+        match = rf"component must be an integer in \[0, dim\) for dim = 1, got {component!r}$"
+        with pytest.raises(ValueError, match=match):
+            bayes_estimate(conjugate_chain, squared_error_loss(), component=component)
 
     def test_huber_on_bimodal_draws_matches_grid_search(self):
         gen = np.random.default_rng(4)
@@ -787,14 +806,14 @@ class TestTwoScaleImportanceSampler:
         # first proposal is about 30 times too narrow.
         model = LinearKnownSigma(np.ones((20, 1)), 1.0)
         spec, prior = InModel(np.array([5.0])), GaussianPrior([5.0], [[1.0]])
-        draws, weights, ess, inflation = _importance_sample(
+        sample = _importance_sample(
             model, spec, prior, 0.0, np.array([5.0]), np.array([[21_000.0]]),
             np.random.default_rng(1), 2000,
         )
-        assert inflation == 3.0
-        assert ess >= 50.0
-        assert draws.shape == (2000, 1)
-        assert weights.sum() == pytest.approx(1.0)
+        assert sample.warnings == ("weights accepted at proposal inflation 3",)
+        assert sample.effective_sample_size >= 50.0
+        assert sample.draws.shape == (2000, 1)
+        assert sample.weights.sum() == pytest.approx(1.0)
 
     def test_the_third_collapse_propagates(self):
         model = LinearKnownSigma(np.ones((20, 1)), 1.0)

@@ -23,6 +23,7 @@ from dpdbayes import (
     ModelFamily,
     OneDirection,
     UniformBoxPrior,
+    WeightedDraws,
     breakdown_experiment,
     contamination_score,
     influence_bayes_estimate,
@@ -540,7 +541,7 @@ class TestFarContaminationPoints:
         full_values, full_errors, _ = influence_curve(model, spec, prior, 0.5, t_grid, mc)
         full_one = influence_posterior_mean(model, spec, prior, 0.5, far_one, mc)
         assert np.array_equal(values, full_values) and np.array_equal(errors, full_errors)
-        assert np.array_equal(one.value, full_one.value)
+        assert np.array_equal(one.estimate, full_one.estimate)
         assert np.array_equal(one.standard_error, full_one.standard_error)
 
 
@@ -953,7 +954,7 @@ class TestInfluence:
             model, spec, prior, 0.4, AllDirections(points=5.0), mc
         )
         # contamination at the model mean: the minimum-|IF| region
-        assert abs(est.value[0]) < max(3 * est.standard_error[0], 5e-3)
+        assert abs(est.estimate[0]) < max(3 * est.standard_error[0], 5e-3)
 
     def test_one_direction_scales_like_one_summand(self, location_setup):
         model, spec, prior = location_setup
@@ -967,7 +968,7 @@ class TestInfluence:
             model, spec, prior, 0.3, AllDirections(points=t), mc, sample=sample
         )
         # identical design rows: the all-directions value is n times one direction
-        assert total.value[0] == pytest.approx(model.n * single.value[0], rel=1e-9)
+        assert total.estimate[0] == pytest.approx(model.n * single.estimate[0], rel=1e-9)
 
     def test_squared_error_loss_reproduces_posterior_mean_influence(self, location_setup):
         model, spec, prior = location_setup
@@ -980,7 +981,7 @@ class TestInfluence:
         loss = influence_bayes_estimate(
             model, spec, prior, 0.4, squared_error_loss(), scenario, mc, sample=sample
         )
-        assert loss.value[0] == pytest.approx(erpe.value[0], rel=1e-9, abs=1e-12)
+        assert loss.estimate[0] == pytest.approx(erpe.estimate[0], rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("which", ["posterior-mean", "curve", "bayes-estimate", "pseudo"])
     def test_contaminated_truth_rejected(self, location_setup, which):
@@ -1009,7 +1010,7 @@ class TestInfluence:
             influence_bayes_estimate(
                 model, spec, prior, 0.5, huber_loss(1.0),
                 AllDirections(points=float(t)), mc, sample=sample,
-            ).value[0]
+            ).estimate[0]
             for t in [-50.0, 0.0, 50.0]
         ]
         assert np.all(np.isfinite(values))
@@ -1021,7 +1022,7 @@ class TestInfluence:
         gen = np.random.default_rng(7)
         draws = np.concatenate([gen.normal(-2, 0.3, 800), gen.normal(3, 0.3, 1200)])
         w = np.full(draws.size, 1.0 / draws.size)
-        sample = robustness.FunctionalPosteriorSample(
+        sample = WeightedDraws(
             draws=draws[:, None], weights=w, effective_sample_size=float(draws.size), center=np.array([1.0])
         )
         loss = huber_loss(0.5)
@@ -1033,7 +1034,20 @@ class TestInfluence:
         scores = _summed_scores(model, model.contamination_terms(sample.draws, 0.5, spec.theta_g), 8.0)
         deviation = -loss.d1(sample.draws, t_star) / float(w @ loss.d2(draws, t_star))
         expected = ((scores - float(w @ scores)) @ (deviation * w[:, None]))[0]
-        assert got.value[0] == expected and np.isfinite(got.standard_error[0])
+        assert got.estimate[0] == expected and np.isfinite(got.standard_error[0])
+
+    @pytest.mark.parametrize("component", [-1, 1, 0.5])
+    def test_a_component_outside_the_parameters_is_refused_before_any_draw(
+        self, location_setup, component, monkeypatch
+    ):
+        model, spec, prior = location_setup
+        monkeypatch.setattr(robustness, "functional_posterior_sample", None)  # a draw would raise
+        match = rf"component must be an integer in \[0, dim\) for dim = 1, got {component!r}$"
+        with pytest.raises(ValueError, match=match):
+            influence_bayes_estimate(
+                model, spec, prior, 0.5, squared_error_loss(), AllDirections(points=8.0),
+                McConfig(seed=1), component=component,
+            )
 
     def test_absolute_error_influence_is_refused(self, location_setup):
         from dpdbayes import absolute_error_loss
@@ -1093,7 +1107,7 @@ class TestInfluenceGrids:
     def test_weight_blocks_are_the_array_split_slices(self):
         for size in [*range(0, 23), 1000, 20_003]:
             weights = np.full(size, 1.0 / max(size, 1))
-            blocks = robustness._weight_blocks(weights)
+            blocks = WeightedDraws(np.zeros((size, 1)), weights, float(size), np.zeros(1)).blocks()
             assert all(isinstance(b, slice) for b, _ in blocks)
             # Every draw once, in order, in np.array_split's blocks.
             indices = [np.arange(size)[b].tolist() for b, _ in blocks]
@@ -1105,7 +1119,7 @@ class TestInfluenceGrids:
 
     def test_weight_blocks_skip_a_block_without_weight(self):
         weights = np.r_[np.zeros(10), np.full(90, 1.0 / 90)]
-        blocks = robustness._weight_blocks(weights)
+        blocks = WeightedDraws(np.zeros((100, 1)), weights, 90.0, np.zeros(1)).blocks()
         assert [(b.start, b.stop) for b, _ in blocks] == [(k, k + 10) for k in range(10, 100, 10)]
 
     @pytest.mark.parametrize("setup", ["location", "two-coefficient"])
@@ -1135,7 +1149,7 @@ class TestInfluenceGrids:
         terms = model.contamination_terms(sample.draws, alpha, spec.theta_g, rows)
         value, error = _fancy_index_estimate(sample, _summed_scores(model, terms, points))
         scale = np.abs(value).max()
-        assert np.abs(got.value - value).max() <= 1e-13 * scale
+        assert np.abs(got.estimate - value).max() <= 1e-13 * scale
         assert np.abs(got.standard_error - error).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("loss_name", ["squared", "huber"])
@@ -1160,7 +1174,7 @@ class TestInfluenceGrids:
             return (s - float(wb @ s)) @ ((-loss.d1(x[:, [component]], t_star) / denom) * wb[:, None])
 
         value, error = _fancy_index_estimate(sample, _summed_scores(model, terms, 6.0), centred_covariance)
-        assert np.array_equal(got.value, value) and np.array_equal(got.standard_error, error)
+        assert np.array_equal(got.estimate, value) and np.array_equal(got.standard_error, error)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_influence_does_not_move_with_the_score_level(self, alpha, monkeypatch):
@@ -1183,7 +1197,7 @@ class TestInfluenceGrids:
         summed = robustness._summed_scores
         monkeypatch.setattr(robustness, "_summed_scores", lambda *args: summed(*args) + 1e3)
         for got, ref in zip(estimates(), reference, strict=True):
-            assert np.abs(got.value - ref.value).max() <= 1e-12 * np.abs(ref.value).max()
+            assert np.abs(got.estimate - ref.estimate).max() <= 1e-12 * np.abs(ref.estimate).max()
             assert np.abs(got.standard_error / ref.standard_error - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("setup", ["location", "two-coefficient"])
@@ -1202,9 +1216,9 @@ class TestInfluenceGrids:
                 )
                 for component in range(model.dim)
             ])
-        values = np.array([est.value for est in mean])
+        values = np.array([est.estimate for est in mean])
         errors = np.array([est.standard_error for est in mean])
-        bayes_values = np.array([[est.value[0] for est in row] for row in bayes])
+        bayes_values = np.array([[est.estimate[0] for est in row] for row in bayes])
         bayes_errors = np.array([[est.standard_error[0] for est in row] for row in bayes])
         assert np.abs(bayes_values - values).max() <= 1e-13 * np.abs(values).max()
         assert np.abs(bayes_errors / errors - 1.0).max() <= 1e-12
@@ -1221,13 +1235,13 @@ class TestInfluenceGrids:
         values, errors, _ = influence_curve(model, spec, prior, 0.5, t_grid, mc)
         assert calls == [(sample.draws.shape[0], t) for t in inside]
         # Every far point gets the estimate the per-point route gives its scores.
-        deviations = robustness._deviations(sample)
+        deviations = sample.deviations()
         for j, t in enumerate(t_grid):
             if terms.far_scores(float(t)) is not None:
-                est = robustness._covariance_estimate(
-                    sample, deviations, model.summed_contamination_scores(terms, float(t))
+                est = sample.covariance(
+                    deviations, model.summed_contamination_scores(terms, float(t))
                 )
-                assert np.array_equal(values[j], est.value)
+                assert np.array_equal(values[j], est.estimate)
                 assert np.array_equal(errors[j], est.standard_error)
 
     def test_pseudo_influence_shares_far_statistics_with_the_same_bits(self, monkeypatch):

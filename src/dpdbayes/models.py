@@ -181,14 +181,17 @@ class Dataset:
         responses: Length-n vector of observations (binary-coded {0,1} for
             logistic families).
         design: n-by-p matrix of fixed covariate rows.
+
+    Both are read-only copies of the caller's arrays: the caller's stay
+    writable, and no later edit of theirs reaches the dataset.
     """
 
     responses: np.ndarray
     design: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.responses, dtype=float))
-        z = np.asarray(self.design, dtype=float)
+        x = np.array(np.atleast_1d(self.responses), dtype=float)
+        z = np.array(self.design, dtype=float)
         if z.ndim == 1:
             z = z[:, None]
         if x.ndim != 1 or z.ndim != 2:
@@ -256,7 +259,14 @@ class Dataset:
         if len(rows[0]) < 2:
             raise DataFormatError("need at least one covariate column")
         arr = np.asarray(rows, dtype=float)
-        return cls(responses=arr[:, 0], design=arr[:, 1:])
+        arr.setflags(write=False)
+        data = cls(responses=arr[:, 0], design=arr[:, 1:])
+        # Nothing else holds the parsed array, so the design stays a view of
+        # it: BLAS rounds the gradient's z'v by the design's row stride when
+        # p <= 3, and a compact copy would move the low bits of every fit
+        # read from a file.
+        object.__setattr__(data, "design", arr[:, 1:])
+        return data
 
 
 @dataclass(frozen=True)
@@ -876,7 +886,17 @@ class Logistic(ModelFamily):
     Powered-density integrals are exact two-term sums over the support {0,1};
     all computations run in log space so extreme linear predictors stay
     finite.
+
+    The objective kernel reads the signed linear predictors
+    u_i = (1 - 2 x_i) z_i'beta from one product with the sign-folded design
+    diag(1 - 2x) Z.  A sign flip is exact, so u is -t or t bit for bit, and
+    -log P(X = x) = softplus(u).  The folded design is kept for the last
+    response vector that is read-only and owns its data, such as a
+    ``Dataset``'s, keyed by that array's identity; any other vector gets a
+    fresh one for its call only.
     """
+
+    _signed: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -956,38 +976,56 @@ class Logistic(ModelFamily):
         )
         return z.T @ dv, z.T @ (d2v[:, None] * z)
 
+    def _signed_design(self, x: np.ndarray) -> np.ndarray:
+        """diag(1 - 2x) Z for the 0/1 responses ``x``.
+
+        An x that is read-only and owns its data, such as a ``Dataset``'s
+        responses, cannot change while it stays read-only, so it keys the
+        cache by identity; the cache holds it, so no other array can take
+        its identity.  A writable x, or a view whose base may be written,
+        gets a fresh product every call.
+        """
+        cached = self._signed
+        if cached is not None and cached[0] is x and not x.flags.writeable:
+            return cached[1]
+        if not np.all((x == 0.0) | (x == 1.0)):
+            raise ValueError("logistic observations must be 0 or 1")
+        signed = (1.0 - 2.0 * x)[:, None] * self.design
+        if x.flags.owndata and not x.flags.writeable:
+            self._signed = (x, signed)
+        return signed
+
     def summed_q_value_batch(self, x, thetas, alpha):
-        # Hot path for samplers; four (m, n) scratch arrays, updated in place,
-        # and every sum is row-local.  x t - max(t, 0) is exact for x in {0, 1},
-        # so the log terms equal _log_p's log P(X=x) and nothing cancels.
-        # The arrays are one allocation: as four, malloc gave them back to the
-        # system after each row block of alpha_likelihood_batch and faulted
-        # them in again at the next, which doubled the time of a batch.
+        # Hot path for samplers; three (m, n) scratch arrays, updated in place,
+        # and every sum is row-local.  With tail = log1p(exp(-|u|)), a cell's
+        # log P(X = x) is -(max(u, 0) + tail), and its two class log
+        # probabilities are -(|u| + tail) and -tail.  As |u| = |t|, these
+        # round as -(max(+-t, 0) + tail) in t do, and nothing cancels.
+        # The arrays are one allocation: as several, malloc gave them back to
+        # the system after each row block of alpha_likelihood_batch and
+        # faulted them in again at the next, which doubled the time of a batch.
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        x = np.asarray(x, dtype=float)
-        t, tail, pos, ll = np.empty((4, thetas.shape[0], self.n))
-        np.matmul(thetas, self.design.T, out=t)
-        _softplus_tail(t, out=tail)
-        np.maximum(t, 0.0, out=pos)
-        np.multiply(t, x[None, :], out=ll)
-        ll -= pos
-        ll -= tail
+        u, tail, nll = np.empty((3, thetas.shape[0], self.n))
+        np.matmul(thetas, self._signed_design(np.asarray(x, dtype=float)).T, out=u)
+        _softplus_tail(u, out=tail)
+        np.maximum(u, 0.0, out=nll)
+        nll += tail  # -log P(X = x)
         if alpha == 0.0:
-            return ll.sum(axis=1) - self.n
-        ll *= alpha
-        np.expm1(ll, out=ll)
-        total = ll.sum(axis=1)
+            return -nll.sum(axis=1) - self.n
+        nll *= -alpha
+        np.expm1(nll, out=nll)
+        total = nll.sum(axis=1)
         total /= alpha
-        # integral term: exp((1+a) log P(X=1)) + exp((1+a) log P(X=0)), in t, pos
-        t -= pos
-        t -= tail
-        t *= 1.0 + alpha
-        np.exp(t, out=t)
-        pos += tail
-        pos *= -(1.0 + alpha)
-        np.exp(pos, out=pos)
-        t += pos
-        total -= t.sum(axis=1) / (1.0 + alpha)
+        # integral term: P(X = 1)^(1+a) + P(X = 0)^(1+a), one class's log
+        # probability -(|u| + tail) and the other's -tail, in u and tail
+        np.abs(u, out=u)
+        u += tail
+        u *= -(1.0 + alpha)
+        np.exp(u, out=u)
+        tail *= -(1.0 + alpha)
+        np.exp(tail, out=tail)
+        u += tail
+        total -= u.sum(axis=1) / (1.0 + alpha)
         return total
 
     def curvature_unit(self, theta, alpha):

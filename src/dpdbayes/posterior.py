@@ -71,15 +71,14 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _check_integers(settings, *names: str) -> None:
-    """Refuse a named field of a settings object that is not a Python or
-    numpy integer, and a negative ``seed``, naming the field."""
-    for name in names:
-        value = getattr(settings, name)
+def _check_integers(**values) -> None:
+    """Refuse a named value that is not a Python or numpy integer, and a
+    negative ``seed``, naming it."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if settings.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {settings.seed}")
+    if values["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
 
 
 def _check_component(component, dim: int) -> None:
@@ -244,7 +243,8 @@ class SamplerConfig:
     proposal_scale: float | None = None
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "chain_length", "burn_in", "thinning")
+        _check_integers(seed=self.seed, chain_length=self.chain_length,
+                        burn_in=self.burn_in, thinning=self.thinning)
         if self.chain_length < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid sampler configuration")
         if self.chain_length // self.thinning < 1:
@@ -822,13 +822,20 @@ def importance_expectation(
     Weights are proportional to exp(Q) pi / proposal-density, with Q the
     observed-data objective for a ``Dataset`` and the population objective
     for a true-distribution spec.  Reports the effective sample size
-    (sum w)^2 / sum w^2 and raises ``DegenerateWeightsError`` below 50, and
-    ``ValueError`` for an improper prior at a > 0.
+    (sum w)^2 / sum w^2 and raises ``DegenerateWeightsError`` below 50.
+    ``ValueError``, naming the argument, refuses before any draw an
+    improper prior at a > 0, a proposal whose dimension is not the
+    model's, an ``m`` that is not an integer of at least 1000 and a
+    ``seed`` that is not a non-negative integer; after the draws, it
+    refuses an ``h`` that does not give one value or one row per draw.
     """
+    _check_integers(m=m, seed=seed)
     if m < 1000:
         raise ValueError("importance sampling needs at least 1000 draws")
     _check_proper(prior, alpha)
     _check_inputs(model, data_or_spec, prior, alpha)
+    if proposal.dim != model.dim:
+        raise ValueError(f"proposal has dimension {proposal.dim} but the model has {model.dim} parameters")
     rng = np.random.default_rng(seed)
     draws = proposal.sample_batch(rng, m)
     log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
@@ -837,6 +844,8 @@ def importance_expectation(
     values = np.asarray(h(draws), dtype=float)
     if values.ndim == 1:
         values = values[:, None]
+    if values.ndim != 2 or values.shape[0] != m:
+        raise ValueError(f"h must give one value or one row per draw: {m} draws, got shape {values.shape}")
     est = w_norm @ values
     dev = values - est[None, :]
     se = np.sqrt(np.sum((w_norm[:, None] * dev) ** 2, axis=0))

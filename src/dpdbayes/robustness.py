@@ -88,7 +88,7 @@ class McConfig:
     draws: int = 20_000
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "draws")
+        _check_integers(seed=self.seed, draws=self.draws)
         if self.draws < 1000:
             raise ValueError("population importance sampling needs >= 1000 draws")
 

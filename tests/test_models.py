@@ -62,6 +62,20 @@ class TestDataset:
         with pytest.raises(ValueError, match="0/1"):
             model.validate_data(bad)
 
+    def test_the_callers_arrays_stay_writable(self):
+        y, z = np.array([1.0, 2.0, 3.0]), np.array([[1.0], [2.0], [4.0]])
+        data = Dataset(y, z)
+        y[0], z[0, 0] = 5.0, 7.0
+        assert data.responses[0] == 1.0 and data.design[0, 0] == 1.0
+        assert not data.responses.flags.writeable and not data.design.flags.writeable
+
+    def test_an_edit_of_the_callers_base_array_does_not_reach_it(self):
+        base = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, -0.5], [1.0, 1.0, 2.0]])
+        data = Dataset(base[:, 0], base[:, 1:])
+        base[:] = 9.0
+        assert np.array_equal(data.responses, [1.0, 0.0, 1.0])
+        assert np.array_equal(data.design, [[1.0, 0.5], [1.0, -0.5], [1.0, 2.0]])
+
 
 class TestDesignConditions:
     def test_identity_design(self):
@@ -622,3 +636,76 @@ class TestLogisticSoftplus:
         assert np.all(np.abs(design @ beta) >= 700.0)
         for out in outputs:
             assert np.all(np.isfinite(out))
+
+
+def _reference_summed_q(design, x, thetas, alpha):
+    """The logistic objective in the linear predictor t, one cell at a time:
+    x t - max(t, 0) - log1p(exp(-|t|)) for log f(x), and P(X = 1)^(1+a) +
+    P(X = 0)^(1+a) from the same pieces, in the order of operations the
+    kernel must keep."""
+    t = thetas @ design.T
+    tail = np.log1p(np.exp(-np.abs(t)))
+    pos = np.maximum(t, 0.0)
+    ll = t * x[None, :] - pos - tail
+    if alpha == 0.0:
+        return ll.sum(axis=1) - design.shape[0]
+    total = np.expm1(alpha * ll).sum(axis=1) / alpha
+    powered = np.exp((t - pos - tail) * (1.0 + alpha)) + np.exp((pos + tail) * -(1.0 + alpha))
+    return total - powered.sum(axis=1) / (1.0 + alpha)
+
+
+class TestLogisticObjectiveKernel:
+    """``Logistic.summed_q_value_batch`` reads signed predictors off a
+    sign-folded design; every value keeps the bits of the form in t."""
+
+    ALPHAS = (0.0, 1e-12, 1e-6, 0.1, 0.5, 1.0, 2.0)
+
+    @staticmethod
+    def _problem(n, seed=0):
+        gen = np.random.default_rng(seed)
+        design = np.column_stack([np.ones(n), gen.uniform(-1.0, 1.0, (n, 2))])
+        x = gen.integers(0, 2, n).astype(float)
+        x[:2] = [0.0, 1.0]
+        return gen, design, x
+
+    @pytest.mark.parametrize("n", [8, 50, 700, 2000])
+    def test_values_keep_the_bits_of_the_form_in_t(self, n):
+        gen, design, x = self._problem(n)
+        model = Logistic(design)
+        data = Dataset(x, design)
+        for m in (1, 2, 33):
+            # |t| up to 3 * 248 = 744 for both labels
+            for scale in (0.3, 5.0, 248.0):
+                thetas = scale * gen.uniform(-1.0, 1.0, (m, 3))
+                for alpha in self.ALPHAS:
+                    want = _reference_summed_q(design, x, thetas, alpha).tobytes()
+                    assert model.summed_q_value_batch(data.responses, thetas, alpha).tobytes() == want
+                    assert model.summed_q_value_batch(x, thetas, alpha).tobytes() == want
+
+    def test_two_datasets_alternating_on_one_model(self):
+        gen, design, x = self._problem(50, seed=1)
+        model = Logistic(design)
+        thetas = gen.standard_normal((3, 3))
+        first, second = Dataset(x, design), Dataset(1.0 - x, design)
+        for data in (first, second, first, second):
+            got = model.summed_q_value_batch(data.responses, thetas, 0.5)
+            want = _reference_summed_q(design, data.responses, thetas, 0.5)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_response_vector_edited_between_calls_gets_fresh_values(self):
+        gen, design, x = self._problem(50, seed=2)
+        model = Logistic(design)
+        thetas = gen.standard_normal((3, 3))
+        view = x.view()
+        view.flags.writeable = False  # read-only, but its base is not
+        for y in (x, view):
+            for _ in range(2):
+                got = model.summed_q_value_batch(y, thetas, 0.5)
+                want = _reference_summed_q(design, y, thetas, 0.5)
+                assert got.tobytes() == want.tobytes()
+                x[:] = 1.0 - x
+
+    def test_responses_other_than_0_and_1_are_refused(self):
+        _, design, _ = self._problem(8)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Logistic(design).summed_q_value_batch(np.full(8, 0.5), np.zeros(3), 0.5)

@@ -796,6 +796,38 @@ class TestImportanceSampling:
         with pytest.raises(ValueError, match="1000"):
             importance_expectation(model, data, prior, 0.3, lambda th: th, proposal, 100, 5)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"proposal": GaussianPrior(np.zeros(3), np.eye(3))},
+             r"proposal has dimension 3 but the model has 2 parameters"),
+            ({"m": 2000.5}, r"m must be an integer, got 2000\.5"),
+            ({"m": True}, r"m must be an integer, got True"),
+            ({"seed": -1}, r"seed must be a non-negative integer, got -1"),
+            ({"seed": 1.0}, r"seed must be an integer, got 1\.0"),
+        ],
+    )
+    def test_bad_arguments_are_refused_before_any_draw(self, linear_problem, monkeypatch, change, message):
+        model, data, _ = linear_problem
+        prior = GaussianPrior([5.0, 2.0], np.diag([4.0, 4.0]))
+        args = {"proposal": GaussianPrior([5.0, 2.0], np.diag([0.05, 0.05])), "m": 2000, "seed": 1}
+        args.update(change)
+
+        def refuse(self, rng, m):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(GaussianPrior, "sample_batch", refuse)
+        with pytest.raises(ValueError, match=message):
+            importance_expectation(model, data, prior, 0.3, lambda th: th, **args)
+
+    @pytest.mark.parametrize("h", [lambda th: th[:10], lambda th: 1.0, lambda th: th[:, :, None]])
+    def test_h_without_one_row_per_draw_is_refused(self, linear_problem, h):
+        model, data, _ = linear_problem
+        prior = GaussianPrior([5.0, 2.0], np.diag([4.0, 4.0]))
+        proposal = GaussianPrior([5.0, 2.0], np.diag([0.05, 0.05]))
+        with pytest.raises(ValueError, match="h must give one value or one row per draw: 2000 draws"):
+            importance_expectation(model, data, prior, 0.3, h, proposal, 2000, 1)
+
 
 class TestTwoScaleImportanceSampler:
     """The one proposal and retry rule shared by replication studies and

@@ -427,9 +427,9 @@ def _cmd_influence(args, config: Config) -> int:
                 value = robustness.influence_closed_form_alpha0(model, prior, spec, float(t))
                 rows.append([float(alpha), float(t), float(value[0]), 0.0, seed, digest])
         else:
-            values, errors, _ = robustness.influence_curve(
-                model, spec, prior, alpha, t_grid, mc
-            )
+            values, errors, sample = robustness.influence_curve(model, spec, prior, alpha, t_grid, mc)
+            for warning in sample.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
             for t, v, e in zip(t_grid, values[:, 0], errors[:, 0]):
                 rows.append([float(alpha), float(t), float(v), float(e), seed, digest])
     _write_table(config.output_dir() / "influence.csv", header, rows, config.output_format())

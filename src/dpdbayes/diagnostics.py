@@ -31,7 +31,7 @@ from scipy import special, stats
 from . import mdpde
 from .models import Dataset, ModelFamily, _check_alpha, _zeta
 from .posterior import DegenerateWeightsError, GaussianPrior, PosteriorChain, _check_proper
-from .posterior import _importance_sample
+from .posterior import _check_draw_count, _importance_sample
 
 __all__ = [
     "EfficiencyReport",
@@ -226,9 +226,12 @@ def posterior_mean_replications(
     importance sampler, centered at the point estimate with the Laplace
     covariance inv(n psi_hat).  Per-replication seeds are spawned from the
     master seed.  A fit, curvature or weight failure is counted by kind in
-    ``failures_by_kind``, not fatal; any other error propagates.  An
-    improper prior at a > 0 raises ``ValueError`` before the first fit.
+    ``failures_by_kind``, not fatal; any other error propagates.  Before the
+    first fit, ``ValueError`` names a non-integer ``replications``, a ``seed``
+    that is not a non-negative integer and an ``is_draws`` that is not an
+    integer of at least 1000, and refuses an improper prior at a > 0.
     """
+    _check_draw_count("is_draws", replications=replications, seed=seed, is_draws=is_draws)
     if replications < 2:
         raise ValueError("need at least two replications")
     theta_g = model.validate_theta(theta_g)

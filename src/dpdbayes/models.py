@@ -222,7 +222,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, header: bool = False) -> "Dataset":
-        """Load a dataset from CSV: first column response, rest covariates.
+        """Load a dataset from CSV: first column response, rest covariates,
+        each a compact copy, as the columns of any ``Dataset`` are.
 
         Args:
             path: File path.
@@ -259,14 +260,7 @@ class Dataset:
         if len(rows[0]) < 2:
             raise DataFormatError("need at least one covariate column")
         arr = np.asarray(rows, dtype=float)
-        arr.setflags(write=False)
-        data = cls(responses=arr[:, 0], design=arr[:, 1:])
-        # Nothing else holds the parsed array, so the design stays a view of
-        # it: BLAS rounds the gradient's z'v by the design's row stride when
-        # p <= 3, and a compact copy would move the low bits of every fit
-        # read from a file.
-        object.__setattr__(data, "design", arr[:, 1:])
-        return data
+        return cls(responses=arr[:, 0], design=arr[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -319,6 +313,9 @@ class ModelFamily(ABC):
     block of k observation indices (a slice or an integer index array), and
     its observation argument (``x`` or ``points``) holds one value per index
     of the block or a scalar shared by all.
+
+    The design is a read-only, compact C-ordered copy of the caller's: no
+    edit of theirs reaches it, and their memory layout moves no bit.
     """
 
     #: Position of the strictly positive scale coordinate in the parameter
@@ -326,7 +323,7 @@ class ModelFamily(ABC):
     scale_index: int | None = None
 
     def __init__(self, design: np.ndarray):
-        z = np.asarray(design, dtype=float)
+        z = np.array(design, dtype=float, order="C")
         if z.ndim == 1:
             z = z[:, None]
         if z.ndim != 2 or z.size == 0:

@@ -23,9 +23,10 @@ parameters each candidate is a (1, dim) row passed to the call as it is.
 Posterior expectations can also be computed without a chain through
 self-normalized importance sampling, from a caller's Gaussian proposal or
 from the defensive two-scale proposal that data and population posteriors
-share.  A sample from the shared proposal is a ``WeightedDraws``, whose
-methods give weighted means, variances and covariances with block standard
-errors; an importance-sampling estimate is an ``Estimate``.
+share.  One step, ``_weigh``, weighs the draws of either into a
+``WeightedDraws``, whose methods give weighted means, variances and
+covariances with block standard errors; an importance-sampling estimate
+is an ``Estimate``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if values["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
+
+
+def _check_draw_count(name: str, **values) -> None:
+    """``_check_integers``, then refuse an importance draw count ``name`` below 1000."""
+    _check_integers(**values)
+    if values[name] < 1000:
+        raise ValueError(f"{name} must be at least 1000 for importance sampling, got {values[name]}")
 
 
 def _check_component(component, dim: int) -> None:
@@ -510,9 +518,8 @@ def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
     checks of ``_check_inputs``.  Q is the observed-data objective for a
     ``Dataset`` and the population objective for a true-distribution spec.
     A row whose base is not finite or that lies outside ``model.in_support``
-    gets -inf and is never passed to the objective.  The base is a log
-    prior, or a log prior minus a proposal density: floating-point addition
-    is not associative, so each caller keeps its own order of terms.
+    gets -inf and is never passed to the objective.  Every caller passes a
+    log prior, so every posterior value is (log prior + Q) in that order.
     """
     if thetas.shape[0] == 1:
         # A chain step at depth 1: scalar forms of the two tests (the
@@ -544,20 +551,6 @@ def _log_posterior_rows(model, data_or_spec, thetas, alpha: float, log_base):
     return log_base
 
 
-def _normalised_weights(log_w: np.ndarray, context: str):
-    """Self-normalised importance weights and their effective sample size
-    (sum w)^2 / sum w^2; ``DegenerateWeightsError``, its message ending in
-    ``context``, when no weight is finite or the size is below 50."""
-    if not np.isfinite(log_w).any():
-        raise DegenerateWeightsError(f"no draw has a finite weight{context}")
-    w = np.exp(log_w - np.max(log_w))
-    total = float(w.sum())
-    ess = total**2 / float(np.sum(w * w))
-    if ess < 50.0:
-        raise DegenerateWeightsError(f"effective sample size {ess:.1f} < 50{context}")
-    return w / total, ess
-
-
 #: Covariance inflation of the first importance proposal; each retry doubles it.
 _BASE_INFLATION = 1.5
 #: Scale factor and mixture weight of the two-scale proposal's wide component.
@@ -586,11 +579,30 @@ class _TwoScaleProposal:
         return np.logaddexp(a, b)
 
 
+def _weigh(model, data_or_spec, prior, alpha, proposal, rng, m, center, context: str, warnings=()):
+    """The one importance weight step: ``WeightedDraws`` of the ``m`` draws of
+    ``proposal`` inside ``model.in_support``, weighted by (log prior + Q) -
+    log proposal.  ``DegenerateWeightsError``, its message ending in
+    ``context``, when no weight is finite or the effective sample size
+    (sum w)^2 / sum w^2 is below 50.  The caller checks the inputs."""
+    draws = proposal.sample_batch(rng, m)
+    draws = draws[model.in_support(draws)]
+    log_w = prior.log_density_batch(draws)
+    _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
+    log_w -= proposal.log_density_batch(draws)
+    if not np.isfinite(log_w).any():
+        raise DegenerateWeightsError(f"no draw has a finite weight{context}")
+    w = np.exp(log_w - np.max(log_w))
+    total = float(w.sum())
+    ess = total**2 / float(np.sum(w * w))
+    if ess < 50.0:
+        raise DegenerateWeightsError(f"effective sample size {ess:.1f} < 50{context}")
+    return WeightedDraws(draws, w / total, ess, center, warnings)
+
+
 def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng, m: int, warnings=()):
-    """``WeightedDraws`` from the two-scale proposal at ``center`` with
-    covariance inflation^2 inv(``curvature``).  Draws outside
-    ``model.in_support`` are dropped, the rest weighted by
-    (log prior + Q) - log proposal.  The inflation is ``_BASE_INFLATION``,
+    """``_weigh`` of the two-scale proposal at ``center`` with covariance
+    inflation^2 inv(``curvature``).  The inflation is ``_BASE_INFLATION``,
     doubled after each ``DegenerateWeightsError``, twice at most.  The
     caller's ``warnings`` are kept, and the accepted inflation noted after
     them when they exist or it is not the first."""
@@ -600,20 +612,13 @@ def _importance_sample(model, data_or_spec, prior, alpha, center, curvature, rng
     for retry in range(3):
         inflation = _BASE_INFLATION * 2.0**retry
         proposal = _TwoScaleProposal(center, inflation**2 * cov)
-        draws = proposal.sample_batch(rng, m)
-        draws = draws[model.in_support(draws)]
-        log_w = prior.log_density_batch(draws)
-        _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
-        log_w -= proposal.log_density_batch(draws)
+        notes = (*warnings, f"weights accepted at proposal inflation {inflation:g}")
         try:
-            weights, ess = _normalised_weights(log_w, f" with inflation {inflation:g}")
+            return _weigh(model, data_or_spec, prior, alpha, proposal, rng, m, center,
+                          f" with inflation {inflation:g}", notes if warnings or retry else ())
         except DegenerateWeightsError:
             if retry == 2:
                 raise
-            continue
-        if warnings or retry:
-            warnings = (*warnings, f"weights accepted at proposal inflation {inflation:g}")
-        return WeightedDraws(draws, weights, ess, center, tuple(warnings))
 
 
 def log_posterior_unnorm(
@@ -819,34 +824,29 @@ def importance_expectation(
 ) -> Estimate:
     """Self-normalized importance-sampling posterior expectation of h(theta).
 
-    Weights are proportional to exp(Q) pi / proposal-density, with Q the
-    observed-data objective for a ``Dataset`` and the population objective
-    for a true-distribution spec.  Reports the effective sample size
-    (sum w)^2 / sum w^2 and raises ``DegenerateWeightsError`` below 50.
+    The ``m`` draws of ``proposal`` are weighted as every importance sample
+    is: those outside the parameter space are dropped, the rest weighted by
+    exp(Q) pi / proposal density, and ``h`` sees the kept draws only.  An
+    effective sample size below 50 raises ``DegenerateWeightsError``.
     ``ValueError``, naming the argument, refuses before any draw an
     improper prior at a > 0, a proposal whose dimension is not the
     model's, an ``m`` that is not an integer of at least 1000 and a
     ``seed`` that is not a non-negative integer; after the draws, it
-    refuses an ``h`` that does not give one value or one row per draw.
+    refuses an ``h`` that does not give one value or one row per kept draw.
     """
-    _check_integers(m=m, seed=seed)
-    if m < 1000:
-        raise ValueError("importance sampling needs at least 1000 draws")
+    _check_draw_count("m", m=m, seed=seed)
     _check_proper(prior, alpha)
     _check_inputs(model, data_or_spec, prior, alpha)
     if proposal.dim != model.dim:
         raise ValueError(f"proposal has dimension {proposal.dim} but the model has {model.dim} parameters")
-    rng = np.random.default_rng(seed)
-    draws = proposal.sample_batch(rng, m)
-    log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
-    _log_posterior_rows(model, data_or_spec, draws, alpha, log_w)
-    w_norm, ess = _normalised_weights(log_w, "; proposal does not cover the posterior")
-    values = np.asarray(h(draws), dtype=float)
+    sample = _weigh(model, data_or_spec, prior, alpha, proposal, np.random.default_rng(seed), m,
+                    proposal.mean, "; proposal does not cover the posterior")
+    values = np.asarray(h(sample.draws), dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    if values.ndim != 2 or values.shape[0] != m:
-        raise ValueError(f"h must give one value or one row per draw: {m} draws, got shape {values.shape}")
-    est = w_norm @ values
-    dev = values - est[None, :]
-    se = np.sqrt(np.sum((w_norm[:, None] * dev) ** 2, axis=0))
-    return Estimate(estimate=est, standard_error=se, effective_sample_size=float(ess))
+    if values.ndim != 2 or values.shape[0] != len(sample.draws):
+        raise ValueError(f"h must give one value or one row per draw: {len(sample.draws)} draws, "
+                         f"got shape {values.shape}")
+    est = sample.mean(values)
+    se = np.sqrt(np.sum((sample.weights[:, None] * (values - est[None, :])) ** 2, axis=0))
+    return Estimate(estimate=est, standard_error=se, effective_sample_size=sample.effective_sample_size)

@@ -39,7 +39,7 @@ from .alpha_likelihood import Contaminated, InModel, _check_truth, alpha_likelih
 from .mdpde import _is_pd
 from .models import LinearKnownSigma, ModelFamily, _check_alpha, _fd_derivatives, _is_common_point
 from .posterior import Estimate, GaussianPrior, LossFunction, WeightedDraws
-from .posterior import _check_component, _check_integers, _check_proper, _importance_sample
+from .posterior import _check_component, _check_draw_count, _check_proper, _importance_sample
 from .posterior import _log_posterior_rows
 from .posterior import _TwoScaleProposal  # noqa: F401  bench/spans.py probes it here by name
 
@@ -88,9 +88,7 @@ class McConfig:
     draws: int = 20_000
 
     def __post_init__(self) -> None:
-        _check_integers(seed=self.seed, draws=self.draws)
-        if self.draws < 1000:
-            raise ValueError("population importance sampling needs >= 1000 draws")
+        _check_draw_count("draws", seed=self.seed, draws=self.draws)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpdbayes import Dataset, fit
 from dpdbayes.cli import main
 from dpdbayes.models import LinearKnownSigma, Logistic
 
@@ -67,6 +68,22 @@ class TestFitCommand:
             adj = eta + (x - p) / w
             beta = np.linalg.solve(design.T @ (w[:, None] * design), design.T @ (w * adj))
         assert np.max(np.abs(theta - beta)) < 1e-4
+
+    def test_a_file_fits_as_its_numbers_do_in_memory(self, tmp_path, capsys):
+        # p = 3, where BLAS rounds z'v by the design's row stride: a file's
+        # design and an array of the same numbers must fit bit for bit.
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal((200, 2))
+        p = 1.0 / (1.0 + np.exp(-(0.5 + z[:, 0] - z[:, 1])))
+        y = (rng.random(200) < p).astype(float)
+        data_path = tmp_path / "logistic.csv"
+        np.savetxt(data_path, np.column_stack([y, np.ones(200), z]), delimiter=",")
+        assert main(["fit", str(data_path), "--model", "logistic", "--alpha", "0.5"]) == 0
+        theta_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("theta_hat:"))
+        table = np.loadtxt(data_path, delimiter=",")
+        for design in (table[:, 1:], np.array(table[:, 1:])):
+            theta = fit(Logistic(design), Dataset(table[:, 0], design), 0.5).theta_hat
+            assert theta_line == "theta_hat: " + " ".join(repr(float(v)) for v in theta)
 
     def test_parse_error_reports_position_and_exits_one(self, tmp_path, capsys):
         data_path = tmp_path / "bad.csv"
@@ -554,6 +571,19 @@ class TestFlatPriorAtPositiveAlpha:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "needs a proper prior" in err[0]
         assert not (tmp_path / "out").exists()
+
+
+class TestInfluenceCommand:
+    def test_the_samples_warnings_reach_stderr(self, tmp_path, capsys):
+        # Under a box prior at a = 2 the first proposal's weights collapse,
+        # and the sample notes the inflation that was accepted.
+        outdir = tmp_path / "out"
+        args = ["influence", "--seed", "1", "--out", str(outdir), "--set", "prior.kind=box",
+                "--set", "prior.halfwidth=100", "--set", "experiment.alphas=2",
+                "--set", "experiment.mc_draws=2000", "--set", "experiment.t_step=20"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == "warning: weights accepted at proposal inflation 3\n"
+        assert len((outdir / "influence.csv").read_text().splitlines()) == 12
 
 
 class TestBvmCommand:

@@ -77,6 +77,28 @@ class TestDataset:
         assert np.array_equal(data.design, [[1.0, 0.5], [1.0, -0.5], [1.0, 2.0]])
 
 
+class TestModelDesign:
+    def test_the_callers_design_stays_writable(self):
+        z = np.column_stack([np.ones(5), np.arange(5.0)])
+        model = Logistic(z)
+        z[0, 0] = 2.0
+        assert model.design[0, 0] == 1.0 and not model.design.flags.writeable
+
+    def test_an_edit_of_the_callers_base_array_does_not_reach_it(self):
+        base = np.arange(12.0).reshape(4, 3)
+        model = LinearKnownSigma(base[:, 1:], 1.0)
+        assert not np.shares_memory(model.design, base)
+        base[:] = 9.0
+        assert np.array_equal(model.design, [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0], [10.0, 11.0]])
+
+    @pytest.mark.parametrize("layout", ["view", "fortran"])
+    def test_the_design_is_compact_whatever_its_layout(self, layout):
+        base = np.random.default_rng(4).standard_normal((50, 4))
+        z = base[:, 1:] if layout == "view" else np.asfortranarray(base[:, 1:])
+        model = LinearUnknownSigma(z)
+        assert model.design.flags.c_contiguous and np.array_equal(model.design, z)
+
+
 class TestDesignConditions:
     def test_identity_design(self):
         report = check_design_conditions(np.eye(2))

@@ -64,14 +64,15 @@ def _separated_logistic():
 
 
 def _reference_importance(model, data, prior, alpha, proposal, m, seed):
-    """Importance estimate, SE, ESS and draws in the order of terms written
-    before the shared log-posterior rule: (log prior - log proposal) + Q,
-    with Q evaluated on every draw and masked afterwards."""
-    draws = proposal.sample_batch(np.random.default_rng(seed), m)
-    log_w = prior.log_density_batch(draws) - proposal.log_density_batch(draws)
-    valid = np.isfinite(log_w) & model.in_support(draws)
-    q = alpha_likelihood_batch(model, data, np.where(valid[:, None], draws, 1.0), alpha)
-    log_w = np.where(valid, log_w + np.where(valid, q, -np.inf), -np.inf)
+    """Importance estimate, SE, ESS and every proposal draw in the order of
+    terms of the one weight step: draws outside the parameter space are
+    dropped, and the rest weighted by (log prior + Q) - log proposal."""
+    every = proposal.sample_batch(np.random.default_rng(seed), m)
+    draws = every[model.in_support(every)]
+    log_w = prior.log_density_batch(draws)
+    valid = np.isfinite(log_w)
+    log_w[valid] += alpha_likelihood_batch(model, data, draws[valid], alpha)
+    log_w -= proposal.log_density_batch(draws)
     log_w -= np.max(log_w)
     w = np.exp(log_w)
     total = float(w.sum())
@@ -79,7 +80,7 @@ def _reference_importance(model, data, prior, alpha, proposal, m, seed):
     w_norm = w / total
     est = w_norm @ draws
     se = np.sqrt(np.sum((w_norm[:, None] * (draws - est[None, :])) ** 2, axis=0))
-    return est, se, ess, draws
+    return est, se, ess, every
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +710,37 @@ class TestImproperPriorRefusal:
         assert np.all(np.isfinite(res.estimate))
 
 
+class TestDrawCountRefusal:
+    """Every importance-sampling entry states one rule for its draw count:
+    an integer of at least 1000, refused by name before any fit or draw."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"replications": 2.5}, r"^replications must be an integer, got 2\.5$"),
+            ({"seed": -1}, r"^seed must be a non-negative integer, got -1$"),
+            ({"is_draws": 2048.5}, r"^is_draws must be an integer, got 2048\.5$"),
+            ({"is_draws": -1}, r"^is_draws must be at least 1000 for importance sampling, got -1$"),
+            ({"is_draws": 0}, r"^is_draws must be at least 1000 for importance sampling, got 0$"),
+            ({"is_draws": 100}, r"^is_draws must be at least 1000 for importance sampling, got 100$"),
+        ],
+    )
+    def test_replications_refuse_before_the_first_fit(self, change, message):
+        model = _NoObjective(np.ones((20, 1)), 1.0)
+        args = {"replications": 3, "seed": 1, "is_draws": 2048}
+        args.update(change)
+        with pytest.raises(ValueError, match=message):
+            posterior_mean_replications(model, [5.0], 0.3, **args)
+
+    def test_every_entry_states_the_same_rule(self, small_location):
+        model, data, prior = small_location
+        message = "must be at least 1000 for importance sampling, got 999$"
+        with pytest.raises(ValueError, match="^draws " + message):
+            McConfig(seed=1, draws=999)
+        with pytest.raises(ValueError, match="^m " + message):
+            importance_expectation(model, data, prior, 0.3, lambda th: th, prior, 999, 1)
+
+
 class TestImportanceSampling:
     def test_constant_function_returns_one(self, small_location):
         model, data, prior = small_location
@@ -777,6 +809,25 @@ class TestImportanceSampling:
         assert np.array_equal(res.estimate, est)
         assert np.array_equal(res.standard_error, se)
         assert res.effective_sample_size == ess
+
+    def test_h_sees_only_draws_inside_the_parameter_space(self, unknown_sigma_problem):
+        # The proposal puts about 5% of its draws at sigma <= 0; log sigma
+        # there was NaN, and a NaN times a zero weight made the estimate NaN.
+        model, data, theta = unknown_sigma_problem
+        prior = GaussianPrior.isotropic([5.0, 2.0, 1.0], 10.0)
+        proposal = GaussianPrior(theta, np.diag([0.05, 0.05, 0.6]))
+        seen = []
+
+        def log_sigma(th):
+            seen.append(th[:, 2].min())
+            return np.log(th[:, 2])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = importance_expectation(model, data, prior, 0.5, log_sigma, proposal, 20_000, 8)
+        assert len(seen) == 1 and seen[0] > 0.0
+        assert np.isfinite(res.estimate).all() and np.isfinite(res.standard_error).all()
+        assert 0.0 < res.standard_error[0] < 0.05
 
     def test_no_finite_weight_raises_without_warning(self):
         # Every draw of the proposal lies outside the box prior, so every log
